@@ -7,8 +7,8 @@ accounting, and the smoothing-theory check.
 
 from .errors import (FormatError, ProjectorCompatibilityError, ScheduleError,
                      ShapeError)
-from .merging import (MergePlan, bipartite_match_lane, merge_flat, merge_height,
-                      merge_step, merge_width, similarity_op_count, value_enhance)
+from .merging import (merge_flat, merge_height, merge_step, merge_width,
+                      similarity_op_count, value_enhance)
 from .metrics import (CompressionReport, LayerCount, layer_flops, pipeline_flops,
                       reduction_ratio)
 from .pipeline import (BASELINE_KINDS, CompressionSchedule, baseline_compress,

@@ -21,8 +21,8 @@ import numpy as np
 from . import images, merging, pipeline, spectral, theory
 from .errors import FormatError
 from .metrics import LayerCount, reduction_ratio
-from .tokens import (LUVC1_MAGIC, TokenGrid, read_grid_json, read_luvc1,
-                     sequence_from_grid, write_luvc1)
+from .tokens import TokenGrid, load_grid, sequence_from_grid, write_luvc1
+from .tokens import read_luvc1  # noqa: F401  perfbench traces tokcomp.cli.read_luvc1
 
 
 class _UsageError(Exception):
@@ -37,12 +37,20 @@ class _Parser(argparse.ArgumentParser):
 def _load_grid_arg(args) -> TokenGrid:
     with open(args.input, "rb") as f:
         head = f.read(2)
-    if head == LUVC1_MAGIC[:2]:
-        return read_luvc1(args.input)
     if head in (b"P2", b"P3", b"P5", b"P6"):
         img = images.read_image(args.input)
         return images.featurize_image(img, args.patch, args.feat)
-    return read_grid_json(args.input)
+    return load_grid(args.input)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
 
 
 def _emit_json(doc, out_path) -> None:
@@ -64,7 +72,7 @@ def _emit_text(text, out_path) -> None:
 
 def _add_input(sub) -> None:
     sub.add_argument("input", help="LUVC1 grid, JSON grid, or PGM/PPM image")
-    sub.add_argument("--patch", type=int, default=8,
+    sub.add_argument("--patch", type=_positive_int, default=8,
                      help="patch size when the input is an image")
     sub.add_argument("--feat", choices=images.FEATURE_MODES, default="raw",
                      help="featurizer when the input is an image")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .spectral import EnergyRanking
-from .tokens import TokenGrid
+from .tokens import TokenGrid, overwrite_file
 
 _WS = b" \t\r\n\x0b\x0c"
 FEATURE_MODES = ("raw", "dct")
@@ -100,9 +100,9 @@ def write_pgm(path, pixels: np.ndarray) -> None:
             raise ValueError("PGM samples must fit in 0..255")
         pixels = pixels.astype(np.uint8)
     h, w = pixels.shape
-    with open(path, "wb") as f:
+    with overwrite_file(path) as f:
         f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(pixels.tobytes())
+        f.write(np.ascontiguousarray(pixels))
 
 
 # ---------------------------------------------------------------------------

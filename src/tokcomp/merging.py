@@ -1,7 +1,7 @@
 """Similarity-driven bipartite token merging on 2D grids.
 
-One merge pass works lane by lane (rows for a width merge, columns for a
-height merge).  Within a lane, tokens at even positions form set A and
+One merge pass works on all lanes at once (rows for a width merge, columns
+for a height merge).  Within a lane, tokens at even positions form set A and
 tokens at odd positions form set B; every A token is matched to its most
 cosine-similar B token, the m A tokens with the strongest match are absorbed
 into their partners by size-weighted mean, and survivors keep lane order.
@@ -9,52 +9,24 @@ A width pass then a height pass form one orthogonal step, shrinking an
 H x W grid to (H-m) x (W-m) while conserving the total merged size.
 
 All tie-breaks go to the lower index, so merge results are bit-reproducible.
-Similarity defaults to cosine over the token features themselves; callers
-with a separate key space can pass it via `keys`.
+Similarity is cosine over the token features themselves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 from .tokens import TokenGrid
 
-LanePairs = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """Per-lane (source, destination) pairs for one axis pass.
-
-    axis is "width" (lanes are rows) or "height" (lanes are columns);
-    indices in each pair are positions within the lane.
-    """
-
-    axis: str
-    m: int
-    lane_pairs: tuple[LanePairs, ...]
-
-    def __post_init__(self):
-        if self.axis not in ("width", "height"):
-            raise ValueError(f"bad axis {self.axis!r}")
-        for pairs in self.lane_pairs:
-            if len(pairs) != self.m:
-                raise ValueError("every lane must contribute exactly m pairs")
-            sources = [s for s, _ in pairs]
-            dests = {d for _, d in pairs}
-            if len(set(sources)) != len(sources):
-                raise ValueError("a token may be a merge source only once")
-            if dests & set(sources):
-                raise ValueError("sources and destinations must be disjoint")
-
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    out = np.zeros_like(x)
+    # np.linalg.norm's arithmetic, with its temporaries folded into one buffer
+    out = np.multiply(x, x)
+    norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
+    out.fill(0.0)
     np.divide(x, norms, out=out, where=norms > 0)
     return out
 
@@ -64,75 +36,55 @@ def lane_match_ops(lane_len: int) -> int:
     return ((lane_len + 1) // 2) * (lane_len // 2)
 
 
-def bipartite_match_lane(features: np.ndarray, m: int,
-                         keys: np.ndarray | None = None) -> LanePairs:
-    """Choose m (source, destination) merge pairs for one lane.
+def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
+                 m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Merge m tokens out of each of L lanes: (L, n, d), (L, n) -> (L, n - m, ...).
 
     A = even lane positions, B = odd.  Each A token's candidate is its most
     similar B token (ties: lowest B index); the m A tokens with the highest
-    candidate similarity are selected (ties: lowest A index).
+    candidate similarity (ties: lowest A index) are absorbed into their
+    candidates by size-weighted mean, in ascending A order.
     """
-    features = np.asarray(features, dtype=np.float64)
-    lane_len = features.shape[0]
+    x = np.asarray(x, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    lanes, n, d = x.shape
+    if m < 0 or n < 2 * m:
+        raise ShapeError(f"lane of {n} tokens cannot absorb {m} merges")
     if m == 0:
-        return ()
-    if m < 0 or lane_len < 2 * m:
-        raise ShapeError(f"lane of {lane_len} tokens cannot absorb {m} merges")
-    metric = features if keys is None else np.asarray(keys, dtype=np.float64)
-    a_pos = np.arange(0, lane_len, 2)
-    b_pos = np.arange(1, lane_len, 2)
-    sims = _unit_rows(metric[a_pos]) @ _unit_rows(metric[b_pos]).T
-    best_b = np.argmax(sims, axis=1)
-    best_sim = sims[np.arange(len(a_pos)), best_b]
-    chosen = np.sort(np.argsort(-best_sim, kind="stable")[:m])
-    return tuple((int(a_pos[i]), int(b_pos[best_b[i]])) for i in chosen)
+        return x.copy(), sizes.copy()
+    unit = _unit_rows(x)
+    sims = unit[:, 0::2] @ unit[:, 1::2].transpose(0, 2, 1)
+    best_b = np.argmax(sims, axis=-1)
+    chosen = np.sort(np.argsort(-sims.max(axis=-1), axis=-1, kind="stable")[:, :m], axis=-1)
+    src = 2 * chosen
+    dst = 2 * np.take_along_axis(best_b, chosen, axis=-1) + 1
+    rows = np.arange(lanes)
+    keep = np.ones((lanes, n), dtype=bool)
+    keep[rows[:, None], src] = False
+    out, out_sizes = x[keep].reshape(lanes, n - m, d), sizes[keep].reshape(lanes, n - m)
+    # A tokens only give and B tokens only take, so the absorbs read A from
+    # the input and update B where it sits among the survivors
+    kept_dst = dst - np.take_along_axis(np.cumsum(~keep, axis=-1), dst, axis=-1)
+    for j in range(m):
+        a, b = src[:, j], kept_dst[:, j]
+        total = sizes[rows, a] + out_sizes[rows, b]
+        out[rows, b] = (out_sizes[rows, b, None] * out[rows, b]
+                        + sizes[rows, a, None] * x[rows, a]) / total[:, None]
+        out_sizes[rows, b] = total
+    return out, out_sizes
 
 
-def apply_lane_merge(features: np.ndarray, sizes: np.ndarray,
-                     pairs: LanePairs) -> tuple[np.ndarray, np.ndarray]:
-    """Absorb each source into its destination by size-weighted mean."""
-    feats = np.array(features, dtype=np.float64)
-    sz = np.array(sizes, dtype=np.float64)
-    for src, dst in pairs:
-        total = sz[src] + sz[dst]
-        feats[dst] = (sz[dst] * feats[dst] + sz[src] * feats[src]) / total
-        sz[dst] = total
-    survivors = np.setdiff1d(np.arange(feats.shape[0]), [s for s, _ in pairs])
-    return feats[survivors], sz[survivors]
-
-
-def plan_axis_merge(grid: TokenGrid, axis: str, m: int,
-                    keys: np.ndarray | None = None) -> MergePlan:
-    work = grid if axis == "width" else grid.transpose()
-    kw = None if keys is None else (keys if axis == "width" else keys.transpose(1, 0, 2))
-    lanes = []
-    for row in range(work.h):
-        lanes.append(bipartite_match_lane(
-            work.data[row], m, None if kw is None else kw[row]))
-    return MergePlan(axis, m, tuple(lanes))
-
-
-def merge_width(grid: TokenGrid, m: int, keys: np.ndarray | None = None) -> TokenGrid:
+def merge_width(grid: TokenGrid, m: int) -> TokenGrid:
     """Merge m tokens out of every row: H x W -> H x (W - m)."""
     if m == 0:
         return grid
-    if m < 0 or grid.w < 2 * m:
-        raise ShapeError(f"width {grid.w} too small for m={m}")
-    plan = plan_axis_merge(grid, "width", m, keys)
-    rows, row_sizes = [], []
-    for row, pairs in enumerate(plan.lane_pairs):
-        f, s = apply_lane_merge(grid.data[row], grid.sizes[row], pairs)
-        rows.append(f)
-        row_sizes.append(s)
-    return TokenGrid(grid.h, grid.w - m, grid.d, np.stack(rows), np.stack(row_sizes))
+    data, sizes = _merge_lanes(grid.data, grid.sizes, m)
+    return TokenGrid._adopt(data, sizes)
 
 
-def merge_height(grid: TokenGrid, m: int, keys: np.ndarray | None = None) -> TokenGrid:
+def merge_height(grid: TokenGrid, m: int) -> TokenGrid:
     """Merge m tokens out of every column: H x W -> (H - m) x W."""
-    if m > 0 and grid.h < 2 * m:
-        raise ShapeError(f"height {grid.h} too small for m={m}")
-    kt = None if keys is None else keys.transpose(1, 0, 2)
-    return merge_width(grid.transpose(), m, kt).transpose()
+    return merge_width(grid.transpose(), m).transpose()
 
 
 def merge_step(grid: TokenGrid, m: int, m_h: int | None = None) -> TokenGrid:
@@ -155,25 +107,26 @@ def merge_flat(features: np.ndarray, sizes: np.ndarray,
     has no rectangular structure left, which is the failure mode the 2D
     pixel-shuffle projector exposes.
     """
-    pairs = bipartite_match_lane(np.asarray(features, dtype=np.float64), m)
-    return apply_lane_merge(features, sizes, pairs)
+    data, sizes = _merge_lanes(np.asarray(features)[None], np.asarray(sizes)[None], m)
+    return data[0], sizes[0]
 
 
 def value_enhance(attn: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Attention output with merged-size boost: attn @ (values + log(sizes)).
 
-    log(sizes) is added to every channel of its token row, so tokens that
-    absorbed more neighbors carry proportionally more weight without the
-    caller ever reading attention scores.  All-ones sizes reduce to plain
-    attention on the identical arithmetic path.
+    attn is (..., n, n), values (..., n, dv) with the same leading axes (one
+    per head, say), sizes (n,).  log(sizes) is added to every channel of its
+    token row, so tokens that absorbed more neighbors carry proportionally
+    more weight without the caller ever reading attention scores.  All-ones
+    sizes reduce to plain attention on the identical arithmetic path.
     """
     attn = np.asarray(attn, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64).reshape(-1)
-    n = attn.shape[0]
-    if attn.shape != (n, n) or values.shape[0] != n or sizes.shape[0] != n:
-        raise ShapeError("attn must be n x n matching values/sizes rows")
-    if np.any(np.abs(attn.sum(axis=1) - 1.0) > 1e-6):
+    n = sizes.shape[0]
+    if attn.shape[-2:] != (n, n) or values.shape[:-1] != attn.shape[:-1]:
+        raise ShapeError("attn must be (..., n, n) matching values/sizes rows")
+    if np.any(np.abs(attn.sum(axis=-1) - 1.0) > 1e-6):
         raise ValueError("attention rows must sum to 1")
     if np.any(sizes < 1):
         raise ValueError("sizes must be >= 1")

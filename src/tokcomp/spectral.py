@@ -16,10 +16,10 @@ generally complex and energies use the complex modulus.  ``symmetric``
 mirrors the passband onto the conjugate bins (coeffs[k] == coeffs[n-k],
 DC weight 1), which keeps real inputs real after inverse transform.
 
-Transforms are computed with an iterative radix-2 kernel for power-of-two
-lengths and Bluestein's chirp algorithm otherwise, so any token count works
-(counts after merging are rarely powers of two).  Correctness is pinned to a
-direct-summation oracle in the test suite, not to the fast path.
+Transforms are `np.fft.fft` / `np.fft.ifft` along the token axis, which
+handle any token count (counts after merging are rarely powers of two).
+Correctness is pinned to a direct-summation oracle in the test suite, not to
+the fast path.
 """
 
 from __future__ import annotations
@@ -35,73 +35,11 @@ from .tokens import ComplexSequence, TokenSequence
 FILTER_MODES = ("as-written", "symmetric")
 
 
-# ---------------------------------------------------------------------------
-# Transform kernels (token axis = axis 0, channels vectorized on axis 1).
-
-def _bit_reversal(n: int) -> np.ndarray:
-    levels = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.int64)
-    j = np.arange(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (j & 1)
-        j >>= 1
-    return rev
-
-
-def _fft_pow2(x: np.ndarray, sign: int) -> np.ndarray:
-    """Iterative Cooley-Tukey for n a power of two.  x: complex (n, d)."""
-    n, d = x.shape
-    if n <= 1:
-        return x.astype(np.complex128, copy=True)
-    y = x[_bit_reversal(n)].astype(np.complex128, copy=True)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(sign * 2j * np.pi * np.arange(half) / size)[:, None]
-        y = y.reshape(n // size, size, d)
-        even = y[:, :half, :].copy()
-        odd = y[:, half:, :] * tw
-        y[:, :half, :] = even + odd
-        y[:, half:, :] = even - odd
-        y = y.reshape(n, d)
-        size *= 2
-    return y
-
-
-def _fft_bluestein(x: np.ndarray, sign: int) -> np.ndarray:
-    """Arbitrary-length transform as a chirped power-of-two convolution."""
-    n, d = x.shape
-    m = 1 << (2 * n - 1).bit_length()
-    k = np.arange(n, dtype=np.int64)
-    # k^2 mod 2n keeps chirp angles small (exp has period 2n in the exponent)
-    chirp = np.exp(sign * 1j * np.pi * ((k * k) % (2 * n)) / n)
-    a = np.zeros((m, d), dtype=np.complex128)
-    a[:n] = x * chirp[:, None]
-    b = np.zeros((m, 1), dtype=np.complex128)
-    b[:n, 0] = np.conj(chirp)
-    if n > 1:
-        b[m - n + 1:, 0] = np.conj(chirp[1:])[::-1]
-    conv = _fft_pow2(_fft_pow2(a, -1) * _fft_pow2(b, -1), +1) / m
-    return conv[:n] * chirp[:, None]
-
-
-def _transform(x: np.ndarray, sign: int) -> np.ndarray:
-    n = x.shape[0]
-    if n == 0:
-        return x.astype(np.complex128, copy=True)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x, sign)
-    return _fft_bluestein(x, sign)
-
-
-# ---------------------------------------------------------------------------
-# Public spectral API.
-
 def dft_forward(seq: TokenSequence) -> ComplexSequence:
     """X[k] = sum_n x[n] exp(-2i*pi*k*n/N) per channel, along the token axis."""
     if seq.n < 1:
         raise ShapeError("dft_forward needs at least one token")
-    return ComplexSequence.from_complex(_transform(seq.data.astype(np.complex128), -1))
+    return ComplexSequence.from_complex(np.fft.fft(seq.data, axis=0))
 
 
 def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
@@ -112,7 +50,7 @@ def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
     """
     if freq.n == 0:
         return ComplexSequence.from_complex(np.zeros((0, freq.d), dtype=np.complex128))
-    return ComplexSequence.from_complex(_transform(freq.as_complex(), +1) / freq.n)
+    return ComplexSequence.from_complex(np.fft.ifft(freq.as_complex(), axis=0))
 
 
 @dataclass(frozen=True)

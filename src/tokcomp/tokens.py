@@ -18,7 +18,10 @@ fixtures.  Byte layouts are documented in docs/formats.md.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 
@@ -30,8 +33,11 @@ LUVC1_MAGIC = b"LUVC"
 LUVC1_VERSION = 1
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+def _frozen(a: np.ndarray, source) -> np.ndarray:
+    """Read-only copy of `a`, the float/int conversion of `source`; a
+    conversion that already copied an array is frozen without a second copy."""
+    if not isinstance(source, np.ndarray) or np.may_share_memory(a, source):
+        a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
 
@@ -63,8 +69,8 @@ class TokenGrid:
         if self.h * self.w > 0:
             if np.any(sizes < 1) or np.any(sizes != np.round(sizes)):
                 raise ShapeError("sizes must be integral and >= 1")
-        object.__setattr__(self, "data", _frozen(data))
-        object.__setattr__(self, "sizes", _frozen(sizes))
+        object.__setattr__(self, "data", _frozen(data, self.data))
+        object.__setattr__(self, "sizes", _frozen(sizes, self.sizes))
 
     @classmethod
     def from_data(cls, data: np.ndarray, sizes: np.ndarray | None = None) -> "TokenGrid":
@@ -80,9 +86,19 @@ class TokenGrid:
     def n_tokens(self) -> int:
         return self.h * self.w
 
+    @classmethod
+    def _adopt(cls, data: np.ndarray, sizes: np.ndarray) -> "TokenGrid":
+        """Wrap arrays no one else holds, made from a valid grid: frozen in
+        place, neither copied nor re-checked."""
+        grid = object.__new__(cls)
+        h, w, d = data.shape
+        for name, value in (("h", h), ("w", w), ("d", d), ("data", data), ("sizes", sizes)):
+            object.__setattr__(grid, name, value)
+        data.flags.writeable = sizes.flags.writeable = False
+        return grid
+
     def transpose(self) -> "TokenGrid":
-        return TokenGrid(self.w, self.h, self.d,
-                         self.data.transpose(1, 0, 2), self.sizes.T)
+        return TokenGrid._adopt(self.data.transpose(1, 0, 2), self.sizes.T)
 
 
 @dataclass(frozen=True)
@@ -114,8 +130,8 @@ class TokenSequence:
                 raise ShapeError("positions must be strictly increasing")
             if positions[0] < 0 or positions[-1] >= orig_len:
                 raise ShapeError("positions out of range for original length")
-        object.__setattr__(self, "data", _frozen(data))
-        object.__setattr__(self, "positions", _frozen(positions))
+        object.__setattr__(self, "data", _frozen(data, self.data))
+        object.__setattr__(self, "positions", _frozen(positions, self.positions))
         object.__setattr__(self, "orig_len", orig_len)
 
     @classmethod
@@ -142,8 +158,8 @@ class ComplexSequence:
     def __post_init__(self):
         re = np.asarray(self.re, dtype=np.float64).reshape(self.n, self.d)
         im = np.asarray(self.im, dtype=np.float64).reshape(self.n, self.d)
-        object.__setattr__(self, "re", _frozen(re))
-        object.__setattr__(self, "im", _frozen(im))
+        object.__setattr__(self, "re", _frozen(re, self.re))
+        object.__setattr__(self, "im", _frozen(im, self.im))
 
     @classmethod
     def from_complex(cls, z: np.ndarray) -> "ComplexSequence":
@@ -197,14 +213,30 @@ def split_tokens(seq: TokenSequence, count: int, first_orig_len: int) -> tuple[T
 # ---------------------------------------------------------------------------
 # LUVC1 binary grid format and the JSON fixture alternative.
 
+@contextlib.contextmanager
+def overwrite_file(path):
+    """Open `path` for binary writing over its old contents, cutting off
+    whatever is left past the new end on close.
+
+    A file truncated to zero and rewritten is flushed on close by
+    delayed-allocation filesystems (ext4), and the next truncate waits for
+    that write to reach the disk; rewriting one output in a loop would pay
+    the disk latency on every pass.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as f:
+        yield f
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def write_luvc1(grid: TokenGrid, path) -> None:
     """Magic 'LUVC', u8 version, u32le h/w/d, f32le data, f32le sizes."""
-    with open(path, "wb") as f:
+    with overwrite_file(path) as f:
         f.write(LUVC1_MAGIC)
-        f.write(struct.pack("<B", LUVC1_VERSION))
-        f.write(struct.pack("<III", grid.h, grid.w, grid.d))
-        f.write(grid.data.astype("<f4").tobytes())
-        f.write(grid.sizes.astype("<f4").tobytes())
+        f.write(struct.pack("<BIII", LUVC1_VERSION, grid.h, grid.w, grid.d))
+        f.write(np.ascontiguousarray(grid.data, dtype="<f4"))
+        f.write(np.ascontiguousarray(grid.sizes, dtype="<f4"))
 
 
 def read_luvc1(path) -> TokenGrid:
@@ -232,7 +264,7 @@ def parse_luvc1(blob: bytes) -> TokenGrid:
     if not np.all(np.isfinite(data)) or not np.all(np.isfinite(sizes)):
         raise FormatError("LUVC1: non-finite values")
     try:
-        return TokenGrid(h, w, d, data.astype(np.float64), sizes.astype(np.float64))
+        return TokenGrid(h, w, d, data, sizes)
     except ShapeError as e:
         raise FormatError(f"LUVC1: {e}") from e
 
@@ -254,7 +286,7 @@ def read_grid_json(path) -> TokenGrid:
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise FormatError(f"grid JSON: {e}") from e
     return _grid_from_doc(doc)
 
@@ -270,6 +302,8 @@ def _grid_from_doc(doc) -> TokenGrid:
         raise FormatError(f"grid JSON: {e}") from e
     if data.size != h * w * d or sizes.size != h * w:
         raise FormatError("grid JSON: data/sizes length mismatch")
+    if not np.all(np.isfinite(data)) or not np.all(np.isfinite(sizes)):
+        raise FormatError("grid JSON: non-finite values")
     try:
         return TokenGrid(h, w, d, data, sizes)
     except ShapeError as e:

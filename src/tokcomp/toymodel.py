@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
+from .merging import value_enhance
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -123,13 +124,11 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     q = x @ lw.wq
     k = x @ lw.wk
     v = x @ lw.wv
-    if sizes is not None and not np.all(sizes == 1.0):
-        v = v + np.log(np.asarray(sizes, dtype=np.float64))[:, None]
     qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
     kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
     scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    out = softmax_rows(scores) @ vh
+    out = value_enhance(softmax_rows(scores), vh, np.ones(n) if sizes is None else sizes)
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

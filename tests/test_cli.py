@@ -161,6 +161,7 @@ def test_usage_errors_exit_1(capsys):
     assert run(["unknown-command"]) == 1
     assert run([]) == 1
     assert run(["theory", "--bogus-flag"]) == 1
+    assert run(["spectrum", "image.pgm", "--patch", 0]) == 1
     assert capsys.readouterr().err != ""
 
 
@@ -174,6 +175,16 @@ def test_corrupt_grid_exits_2(tmp_path, capsys):
     path.write_bytes(b"LUVC\x01garbage")
     assert run(["spectrum", path, "--keep", 1]) == 2
     assert capsys.readouterr().err != ""
+    # grid JSON that is not UTF-8, or holds NaN, is a data error
+    path.write_bytes(b'{"schema": 1, "h": 1, "w": 2, "d": 1, "data": [1, \xff], "sizes": [1, 1]}')
+    assert run(["spectrum", path]) == 2
+    assert capsys.readouterr().err.startswith("data error")
+    path.write_text('{"schema": 1, "h": 2, "w": 2, "d": 1, "data": [1, NaN, 0, 2], '
+                    '"sizes": [1, 1, 1, 1]}')
+    assert run(["spectrum", path]) == 2
+    assert run(["merge", path, "--m", 1, "--out", tmp_path / "out.luvc"]) == 2
+    assert not (tmp_path / "out.luvc").exists()
+    assert capsys.readouterr().err.count("data error") == 2
 
 
 def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):

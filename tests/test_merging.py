@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from oracles import (brute_grid_merge_width, brute_lane_merge,
                      naive_plain_attention, naive_value_enhance)
 from tokcomp.errors import ShapeError
-from tokcomp.merging import (MergePlan, apply_lane_merge, bipartite_match_lane,
-                             lane_match_ops, merge_flat, merge_height,
+from tokcomp.merging import (lane_match_ops, merge_flat, merge_height,
                              merge_step, merge_width, similarity_op_count,
                              value_enhance)
 from tokcomp.tokens import TokenGrid
@@ -24,42 +23,32 @@ def rand_grid(seed, h, w, d, max_size=1):
 
 def test_identical_tokens_merge_lowest_pair():
     feats = np.tile(np.array([1.0, 2.0]), (4, 1))
-    pairs = bipartite_match_lane(feats, 1)
-    assert pairs == ((0, 1),)
-    merged, sizes = apply_lane_merge(feats, np.ones(4), pairs)
+    merged, sizes = merge_flat(feats, np.ones(4), 1)
     assert merged.shape == (3, 2)
     assert np.allclose(merged, feats[:3], atol=1e-12)
-    assert sizes.tolist() == [2, 1, 1]
+    assert sizes.tolist() == [2, 1, 1]  # token 0 went into token 1
 
 
 def test_orthogonal_pairs_pick_the_similar_match():
     a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     feats = np.stack([a, a, b, b])
-    pairs = bipartite_match_lane(feats, 1)
-    assert pairs == ((0, 1),)
-    _, sizes = apply_lane_merge(feats, np.ones(4), pairs)
-    assert sizes.tolist() == [2, 1, 1]
+    merged, sizes = merge_flat(feats, np.ones(4), 1)
+    assert sizes.tolist() == [2, 1, 1]  # token 0 went into token 1
+    assert np.array_equal(merged, np.stack([a, b, b]))
 
 
 def test_m_zero_is_identity():
     feats = np.random.default_rng(0).normal(size=(6, 3))
-    assert bipartite_match_lane(feats, 0) == ()
+    merged, sizes = merge_flat(feats, np.ones(6), 0)
+    assert np.array_equal(merged, feats)
+    assert np.array_equal(sizes, np.ones(6))
     g = rand_grid(1, 3, 4, 2)
     assert merge_width(g, 0) is g
 
 
 def test_lane_too_short():
     with pytest.raises(ShapeError):
-        bipartite_match_lane(np.ones((3, 2)), 2)
-
-
-def test_merge_plan_validates():
-    with pytest.raises(ValueError):
-        MergePlan("width", 1, (((0, 1), (0, 3)),))  # two pairs for m=1
-    with pytest.raises(ValueError):
-        MergePlan("width", 2, (((0, 1), (0, 3)),))  # duplicate source
-    with pytest.raises(ValueError):
-        MergePlan("width", 2, (((0, 1), (1, 3)),))  # source is a destination
+        merge_flat(np.ones((3, 2)), np.ones(3), 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,10 +59,22 @@ def test_lane_merge_matches_brute_force(half, seed):
     feats = rng.normal(size=(lane_len, 3))
     sizes = rng.integers(1, 4, size=lane_len).astype(float)
     m = int(rng.integers(1, half + 1))
-    got_f, got_s = apply_lane_merge(feats, sizes, bipartite_match_lane(feats, m))
+    got_f, got_s = merge_flat(feats, sizes, m)
     exp_f, exp_s = brute_lane_merge(feats, sizes, m)
     assert np.allclose(got_f, exp_f, atol=1e-12)
     assert np.array_equal(got_s, exp_s)
+
+    # multi-row grid of axis-aligned integer features: every cosine is
+    # exactly -1, 0 or 1 in any summation order, so similarities tie often
+    # and the lowest-index tie-breaks decide
+    h = int(rng.integers(2, 6))
+    scale = rng.integers(-2, 3, size=(h, lane_len))
+    data = np.eye(3)[rng.integers(0, 3, size=(h, lane_len))] * scale[..., None]
+    grid_sizes = rng.integers(1, 4, size=(h, lane_len)).astype(float)
+    out = merge_width(TokenGrid(h, lane_len, 3, data, grid_sizes), m)
+    exp_f, exp_s = brute_grid_merge_width(data, grid_sizes, m)
+    assert np.array_equal(out.data, exp_f)
+    assert np.array_equal(out.sizes, exp_s)
 
 
 # -- grid merges --------------------------------------------------------------
@@ -165,14 +166,6 @@ def test_merge_flat_destroys_rectangularity():
     out, sizes = merge_flat(feats, np.ones(16), 3)
     assert out.shape[0] == 13
     assert sizes.sum() == 16
-
-
-def test_keys_hook_overrides_similarity():
-    # features say "merge 0 into 1" but keys say "merge 0 into 3"
-    feats = np.array([[1.0, 0], [1.0, 0], [5.0, 0], [1.0, 0]])
-    keys = np.array([[1.0, 0], [0.0, 1], [0.5, 0.5], [1.0, 0]])
-    pairs = bipartite_match_lane(feats, 1, keys=keys)
-    assert pairs == ((0, 3),)
 
 
 # -- value enhancement --------------------------------------------------------

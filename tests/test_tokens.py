@@ -104,9 +104,20 @@ def test_containers_are_immutable():
     g = TokenGrid.from_data(np.zeros((2, 2, 1)))
     with pytest.raises(ValueError):
         g.data[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.transpose().sizes[0, 0] = 2.0
     s = seq_of([1, 2])
     with pytest.raises(ValueError):
         s.data[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_grids_do_not_alias_their_inputs(dtype):
+    data, sizes = np.ones((2, 2, 1), dtype), np.ones((2, 2), dtype)
+    g = TokenGrid(2, 2, 1, data, sizes)
+    data[:] = 7
+    sizes[:] = 7
+    assert np.all(g.data == 1) and np.all(g.sizes == 1)
 
 
 def test_complex_sequence_round_trip():
@@ -127,6 +138,15 @@ def test_luvc1_round_trip(tmp_path):
     assert (back.h, back.w, back.d) == (2, 3, 4)
     assert np.array_equal(back.data, grid.data)
     assert np.array_equal(back.sizes, grid.sizes)
+
+
+def test_luvc1_rewrite_over_a_longer_file(tmp_path):
+    path = tmp_path / "g.luvc"
+    write_luvc1(TokenGrid.from_data(np.full((4, 4, 3), 2.0)), path)
+    small = TokenGrid.from_data(np.arange(6.0).reshape(1, 2, 3))
+    write_luvc1(small, path)
+    assert path.stat().st_size == 17 + 4 * 6 + 4 * 2
+    assert np.array_equal(read_luvc1(path).data, small.data)
 
 
 def test_luvc1_empty_grid_round_trip(tmp_path):
@@ -162,6 +182,18 @@ def test_grid_json_round_trip(tmp_path):
     back = read_grid_json(path)
     assert np.array_equal(back.data, grid.data)
     assert load_grid(path).h == 2
+
+
+def test_grid_json_rejects_undecodable_and_non_finite(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_bytes(b'{"schema": 1, "h": 1, "w": 1, "d": 1, "data": [\xff], "sizes": [1]}')
+    with pytest.raises(FormatError):
+        read_grid_json(path)
+    for data, sizes in (("NaN", "1"), ("Infinity", "1"), ("1", "NaN"), ("1", "Infinity")):
+        path.write_text(f'{{"schema": 1, "h": 1, "w": 1, "d": 1, '
+                        f'"data": [{data}], "sizes": [{sizes}]}}')
+        with pytest.raises(FormatError):
+            read_grid_json(path)
 
 
 def test_load_grid_dispatches_on_magic(tmp_path):
