@@ -6,7 +6,7 @@ quantiles of the high-frequency to DC norm ratio over iterations.
 
 import numpy as np
 
-from tokcomp import smoothing_trace
+from tokcomp.theory import random_smoothing_setup, smoothing_trace
 
 N = 64
 T = 50
@@ -16,12 +16,7 @@ TRIALS = 100
 def main():
     traces = []
     for seed in range(TRIALS):
-        rng = np.random.default_rng(seed)
-        attn = rng.uniform(0.05, 1.0, size=(N, N))
-        attn /= attn.sum(axis=1, keepdims=True)
-        z = rng.normal(size=N)
-        if abs(z.mean()) < 1e-6:
-            z = z + 1.0
+        attn, z = random_smoothing_setup(N, seed)
         traces.append(smoothing_trace(attn, z, T).ratios)
     ratios = np.stack(traces)
     print(f"{TRIALS} trials, {N}x{N} attention, {T} iterations")

@@ -3,7 +3,8 @@
 Subcommands: spectrum (spectral pruning of a grid), merge (orthogonal 2D
 merging), simulate (full pipeline run from a schedule JSON), baseline
 (reference compressors), theory (smoothing-trace CSV), bench (similarity-op
-scaling sweep).  Exit codes: 0 success, 1 usage error, 2 data error.
+scaling sweep).  Exit codes: 0 success, 1 usage error, 2 data error (bad or
+unreadable input), 3 internal error (a bug; the traceback is printed).
 
 Inputs are sniffed by magic bytes: LUVC1 binary grids, JSON grid fixtures,
 or PGM/PPM images (featurized on the fly with --patch/--feat).
@@ -14,12 +15,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
 
 from . import images, merging, pipeline, spectral, theory
-from .errors import FormatError
 from .metrics import LayerCount, reduction_ratio
 from .tokens import TokenGrid, load_grid, sequence_from_grid, write_luvc1
 from .tokens import read_luvc1  # noqa: F401  perfbench traces tokcomp.cli.read_luvc1
@@ -43,14 +44,25 @@ def _load_grid_arg(args) -> TokenGrid:
     return load_grid(args.input)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _int_at_least(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return value
+    return parse
+
+
+def _bench_sizes(text: str) -> list[int]:
+    # sizes >= 2 give positive op counts, two distinct ones a defined slope
+    sizes = [_int_at_least(2)(s) for s in text.split(",") if s]
+    if len(set(sizes)) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} holds fewer than two distinct sizes")
+    return sizes
 
 
 def _emit_json(doc, out_path) -> None:
@@ -72,7 +84,7 @@ def _emit_text(text, out_path) -> None:
 
 def _add_input(sub) -> None:
     sub.add_argument("input", help="LUVC1 grid, JSON grid, or PGM/PPM image")
-    sub.add_argument("--patch", type=_positive_int, default=8,
+    sub.add_argument("--patch", type=_int_at_least(1), default=8,
                      help="patch size when the input is an image")
     sub.add_argument("--feat", choices=images.FEATURE_MODES, default="raw",
                      help="featurizer when the input is an image")
@@ -114,7 +126,7 @@ def _cmd_merge(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg, sched = pipeline.load_run_config(args.schedule)
     if args.seed is not None:
-        cfg = pipeline.ToyModelConfig(cfg.d, cfg.heads, args.seed, cfg.text_len)
+        cfg = replace(cfg, seed=args.seed)
     overrides = {}
     for field in ("l0", "l_delta", "m", "sigma_ratio", "filter_mode"):
         value = getattr(args, field)
@@ -144,27 +156,20 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    attn = rng.uniform(0.05, 1.0, size=(args.n, args.n))
-    attn /= attn.sum(axis=1, keepdims=True)
-    z = rng.normal(size=args.n)
-    if abs(z.mean()) < 1e-6:
-        z = z + 1.0
-    trace = theory.smoothing_trace(attn, z, args.t)
+    trace = theory.smoothing_trace(*theory.random_smoothing_setup(args.n, args.seed), args.t)
     lines = ["t,ratio"] + [f"{t},{r:.17g}" for t, r in enumerate(trace.ratios)]
     _emit_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    ops2d = [merging.similarity_op_count(n, "2d", args.m) for n in sizes]
-    ops1d = [merging.similarity_op_count(n, "1d") for n in sizes]
+    ops2d = [merging.similarity_op_count(n, "2d", args.m) for n in args.sizes]
+    ops1d = [merging.similarity_op_count(n, "1d") for n in args.sizes]
 
     def slope(counts):
-        return float(np.polyfit(np.log(sizes), np.log(counts), 1)[0])
+        return float(np.polyfit(np.log(args.sizes), np.log(counts), 1)[0])
 
-    _emit_json({"schema": 1, "sizes": sizes, "ops_2d": ops2d, "ops_1d": ops1d,
+    _emit_json({"schema": 1, "sizes": args.sizes, "ops_2d": ops2d, "ops_1d": ops1d,
                 "exponent_2d": slope(ops2d), "exponent_1d": slope(ops1d)}, args.out)
     return 0
 
@@ -176,7 +181,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="prune a grid's tokens by spectral energy")
     _add_input(p)
     p.add_argument("--sigma-ratio", type=float, default=0.25)
-    p.add_argument("--keep", type=int, default=None, help="tokens to keep (default n//2)")
+    p.add_argument("--keep", type=_int_at_least(0), default=None,
+                   help="tokens to keep (default n//2)")
     p.add_argument("--filter-mode", choices=spectral.FILTER_MODES, default="as-written")
     p.add_argument("--out", default=None, help="kept-indices JSON (default stdout)")
     p.add_argument("--heatmap", default=None, help="write energy heatmap PGM here")
@@ -185,19 +191,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("merge", help="run orthogonal merge steps on a grid")
     _add_input(p)
-    p.add_argument("--m", type=int, default=2, help="merges per axis per step")
-    p.add_argument("--oim-steps", type=int, default=1, help="width+height step count")
+    p.add_argument("--m", type=_int_at_least(0), default=2, help="merges per axis per step")
+    p.add_argument("--oim-steps", type=_int_at_least(0), default=1, help="width+height step count")
     p.add_argument("--out", required=True, help="output LUVC1 grid")
     p.set_defaults(func=_cmd_merge)
 
     p = sub.add_parser("simulate", help="full pipeline run from a schedule JSON")
     _add_input(p)
     p.add_argument("--schedule", required=True, help="run-config JSON path")
-    p.add_argument("--text-len", type=int, default=None)
+    p.add_argument("--text-len", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=None, help="override the model seed")
     p.add_argument("--l0", type=int, default=None, help="override first pruning layer")
     p.add_argument("--l-delta", type=int, default=None, help="override pruning interval")
-    p.add_argument("--m", type=int, default=None, help="override merges per axis")
+    p.add_argument("--m", type=_int_at_least(0), default=None, help="override merges per axis")
     p.add_argument("--sigma-ratio", type=float, default=None)
     p.add_argument("--filter-mode", choices=spectral.FILTER_MODES, default=None)
     p.add_argument("--out", default=None, help="report JSON (default stdout)")
@@ -206,22 +212,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("baseline", help="run a reference compressor on a grid")
     _add_input(p)
     p.add_argument("--kind", choices=pipeline.BASELINE_KINDS, required=True)
-    p.add_argument("--target-h", type=int, default=0)
-    p.add_argument("--target-w", type=int, default=0)
+    p.add_argument("--target-h", type=_int_at_least(0), default=0)
+    p.add_argument("--target-w", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output LUVC1 grid")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("theory", help="emit an HC/DC smoothing trace as CSV")
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--t", type=int, default=50)
+    p.add_argument("--n", type=_int_at_least(1), default=64)
+    p.add_argument("--t", type=_int_at_least(0), default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("bench", help="similarity-op scaling sweep")
-    p.add_argument("--sizes", default="64,256,1024,4096")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--sizes", type=_bench_sizes, default="64,256,1024,4096")
+    p.add_argument("--m", type=_int_at_least(0), default=1)
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_bench)
     return parser
@@ -241,12 +247,13 @@ def cli_main(argv) -> int:
         return 1
     try:
         return args.func(args)
-    except FormatError as e:
+    except (ValueError, OSError) as e:  # every data error the toolkit raises
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # malformed inputs must never crash the tool
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error: this is a bug in tokcomp", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:

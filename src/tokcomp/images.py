@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .spectral import EnergyRanking
-from .tokens import TokenGrid, overwrite_file
+from .tokens import TokenGrid, _frozen, overwrite_file
 
 _WS = b" \t\r\n\x0b\x0c"
 FEATURE_MODES = ("raw", "dct")
@@ -175,9 +175,7 @@ class Heatmap:
         values = np.asarray(self.values, dtype=np.float64).reshape(self.h, self.w)
         if values.size and (values.min() < 0 or values.max() > 1):
             raise ValueError("heatmap values must be normalized to [0, 1]")
-        values = np.array(values, copy=True)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values, self.values))
 
     def pixels(self) -> np.ndarray:
         return np.rint(self.values * 255).astype(np.uint8)

@@ -93,10 +93,7 @@ def merge_step(grid: TokenGrid, m: int, m_h: int | None = None) -> TokenGrid:
     m_h lets non-square inputs merge at a different rate per axis; it
     defaults to m.
     """
-    m_h = m if m_h is None else m_h
-    if grid.w < 2 * m or grid.h < 2 * m_h:
-        raise ShapeError(f"grid {grid.h}x{grid.w} too small for m={m}/m_h={m_h}")
-    return merge_height(merge_width(grid, m), m_h)
+    return merge_height(merge_width(grid, m), m if m_h is None else m_h)
 
 
 def merge_flat(features: np.ndarray, sizes: np.ndarray,

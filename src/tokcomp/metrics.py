@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError
+from .tokens import read_json_doc
 
 REPORT_SCHEMA = 1
 
@@ -102,7 +103,7 @@ class CompressionReport:
     timings_ms: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if abs(self.retention_ratio + self.pruning_ratio - 1.0) > 1e-9:
+        if not abs(self.retention_ratio + self.pruning_ratio - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("retention and pruning ratios must sum to 1")
         if self.flops_compressed > self.flops_base:
             raise ValueError("compressed FLOPs exceed base FLOPs")
@@ -146,9 +147,4 @@ class CompressionReport:
 
     @classmethod
     def load(cls, path) -> "CompressionReport":
-        with open(path) as f:
-            try:
-                doc = json.load(f)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"report JSON: {e}") from e
-        return cls.from_doc(doc)
+        return cls.from_doc(read_json_doc(path, "report JSON"))

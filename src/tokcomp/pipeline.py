@@ -14,9 +14,9 @@ resampling, drop-everything) and the per-run report assembly.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from operator import index
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import FormatError, ProjectorCompatibilityError, ScheduleError, Sha
 from .merging import lane_match_ops, merge_height, merge_width
 from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ratio
 from .spectral import FILTER_MODES, spectral_prune
-from .tokens import TokenGrid, TokenSequence, concat_tokens
+from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc
 from .toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig, block_forward,
                        connector_matrix, layer_weights, sinusoidal_positions,
                        text_tokens)
@@ -59,9 +59,10 @@ class CompressionSchedule:
     projector_factor: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "merge_pairs", tuple(tuple(p) for p in self.merge_pairs))
-        if self.keep_ladder is not None:
-            object.__setattr__(self, "keep_ladder", tuple(int(k) for k in self.keep_ladder))
+        for name in ("enc_layers", "m", "llm_layers", "l0", "l_delta", "projector_factor"):
+            object.__setattr__(self, name, index(getattr(self, name)))
+        object.__setattr__(self, "merge_pairs",
+                           tuple((index(i), index(j)) for i, j in self.merge_pairs))
         if self.enc_layers < 0 or self.llm_layers < 0:
             raise ScheduleError("layer counts must be non-negative")
         if self.m < 0 or self.l0 < 0 or self.l_delta < 1 or self.projector_factor < 1:
@@ -80,7 +81,8 @@ class CompressionSchedule:
                 raise ScheduleError("merge pairs overlap")
             used |= {i, j}
         if self.keep_ladder is not None:
-            ladder = self.keep_ladder
+            ladder = tuple(index(k) for k in self.keep_ladder)
+            object.__setattr__(self, "keep_ladder", ladder)
             n_spu = len(self.spu_layers)
             if len(ladder) != n_spu:
                 raise ScheduleError(f"keep_ladder has {len(ladder)} entries for {n_spu} pruning layers")
@@ -307,57 +309,18 @@ def drop_all_sequence(visual: TokenSequence) -> TokenSequence:
 # Run-config JSON (model + schedule), used by the CLI and scripts.
 
 def schedule_to_doc(cfg: ToyModelConfig, sched: CompressionSchedule) -> dict:
-    return {
-        "schema": SCHEDULE_SCHEMA,
-        "model": {"d": cfg.d, "heads": cfg.heads, "seed": cfg.seed,
-                  "text_len": cfg.text_len},
-        "schedule": {
-            "enc_layers": sched.enc_layers,
-            "merge_pairs": [list(p) for p in sched.merge_pairs],
-            "m": sched.m,
-            "llm_layers": sched.llm_layers,
-            "l0": sched.l0,
-            "l_delta": sched.l_delta,
-            "keep_ladder": None if sched.keep_ladder is None else list(sched.keep_ladder),
-            "sigma_ratio": sched.sigma_ratio,
-            "filter_mode": sched.filter_mode,
-            "projector_factor": sched.projector_factor,
-        },
-    }
+    return {"schema": SCHEDULE_SCHEMA, "model": asdict(cfg), "schedule": asdict(sched)}
 
 
 def schedule_from_doc(doc: dict) -> tuple[ToyModelConfig, CompressionSchedule]:
+    """Omitted keys take the dataclass defaults; unknown keys are an error."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEDULE_SCHEMA:
         raise FormatError("schedule JSON: missing schema marker")
     try:
-        m = doc.get("model", {})
-        cfg = ToyModelConfig(d=int(m.get("d", 32)), heads=int(m.get("heads", 4)),
-                             seed=int(m.get("seed", 0)), text_len=int(m.get("text_len", 8)))
-        s = doc["schedule"]
-        ladder = s.get("keep_ladder")
-        sched = CompressionSchedule(
-            enc_layers=int(s.get("enc_layers", 6)),
-            merge_pairs=tuple((int(i), int(j)) for i, j in s.get("merge_pairs", [])),
-            m=int(s.get("m", 2)),
-            llm_layers=int(s.get("llm_layers", 12)),
-            l0=int(s.get("l0", DEFAULT_L0)),
-            l_delta=int(s.get("l_delta", DEFAULT_L_DELTA)),
-            keep_ladder=None if ladder is None else tuple(int(k) for k in ladder),
-            sigma_ratio=float(s.get("sigma_ratio", 0.25)),
-            filter_mode=str(s.get("filter_mode", "as-written")),
-            projector_factor=int(s.get("projector_factor", 1)),
-        )
+        return ToyModelConfig(**doc.get("model", {})), CompressionSchedule(**doc["schedule"])
     except (KeyError, TypeError, ValueError) as e:
-        if isinstance(e, (FormatError, ScheduleError)):
-            raise
         raise FormatError(f"schedule JSON: {e}") from e
-    return cfg, sched
 
 
 def load_run_config(path) -> tuple[ToyModelConfig, CompressionSchedule]:
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"schedule JSON: {e}") from e
-    return schedule_from_doc(doc)
+    return schedule_from_doc(read_json_doc(path, "schedule JSON"))

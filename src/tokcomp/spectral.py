@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tokens import ComplexSequence, TokenSequence
+from .tokens import ComplexSequence, TokenSequence, _frozen
 
 FILTER_MODES = ("as-written", "symmetric")
 
@@ -66,9 +66,7 @@ class SpectrumFilter:
         coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(self.n)
         if np.any(coeffs < 0) or np.any(coeffs > 1):
             raise ValueError("filter coefficients must lie in [0, 1]")
-        coeffs = np.array(coeffs, copy=True)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _frozen(coeffs, self.coeffs))
 
 
 def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> SpectrumFilter:
@@ -135,10 +133,8 @@ class EnergyRanking:
                 raise ValueError("kept indices must be strictly increasing")
             if kept[0] < 0 or kept[-1] >= energies.size:
                 raise ValueError("kept indices out of range")
-        for a in (energies, kept):
-            a.flags.writeable = False
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "energies", _frozen(energies, self.energies))
+        object.__setattr__(self, "kept", _frozen(kept, self.kept))
 
 
 def topk_ascending(energies: np.ndarray, keep: int) -> np.ndarray:

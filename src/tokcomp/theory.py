@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tokens import _frozen
+
 DC_GUARD = 1e-12
 
 
@@ -43,8 +45,18 @@ class SmoothingTrace:
             raise ValueError("trace must hold t_max + 1 ratios")
         if np.any(~np.isfinite(ratios)) or np.any(ratios < 0):
             raise ValueError("ratios must be finite and non-negative")
-        ratios.flags.writeable = False
-        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "ratios", _frozen(ratios, self.ratios))
+
+
+def random_smoothing_setup(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded `smoothing_trace` inputs: positive row-stochastic attn, nonzero-mean z."""
+    rng = np.random.default_rng(seed)
+    attn = rng.uniform(0.05, 1.0, size=(n, n))
+    attn /= attn.sum(axis=1, keepdims=True)
+    z = rng.normal(size=n)
+    if abs(z.mean()) < 1e-6:
+        z = z + 1.0
+    return attn, z
 
 
 def smoothing_trace(attn: np.ndarray, z: np.ndarray, t_max: int) -> SmoothingTrace:

@@ -10,7 +10,8 @@ Three value types:
 * ``ComplexSequence`` -- frequency-domain twin of TokenSequence (re/im parts).
 
 Containers are immutable after construction (arrays are copied in and marked
-read-only); every operation here is a pure function returning a new value.
+read-only) and hold finite values only; every operation here is a pure
+function returning a new value.
 
 Serialization: the LUVC1 binary grid format and a JSON alternative for tiny
 fixtures.  Byte layouts are documented in docs/formats.md.
@@ -66,9 +67,10 @@ class TokenGrid:
             sizes = np.asarray(self.sizes, dtype=np.float64).reshape(self.h, self.w)
         except ValueError as e:
             raise ShapeError(f"grid data/sizes do not tile {self.h}x{self.w}x{self.d}: {e}") from e
-        if self.h * self.w > 0:
-            if np.any(sizes < 1) or np.any(sizes != np.round(sizes)):
-                raise ShapeError("sizes must be integral and >= 1")
+        if not (np.isfinite(data).all() and np.isfinite(sizes).all()):
+            raise ShapeError("grid data/sizes hold non-finite values")
+        if np.any(sizes < 1) or np.any(sizes != np.round(sizes)):
+            raise ShapeError("sizes must be integral and >= 1")
         object.__setattr__(self, "data", _frozen(data, self.data))
         object.__setattr__(self, "sizes", _frozen(sizes, self.sizes))
 
@@ -124,6 +126,8 @@ class TokenSequence:
             positions = np.asarray(self.positions, dtype=np.int64).reshape(self.n)
         except ValueError as e:
             raise ShapeError(f"sequence data/positions do not fit n={self.n} d={self.d}: {e}") from e
+        if not np.isfinite(data).all():
+            raise ShapeError("sequence data holds non-finite values")
         orig_len = self.orig_len if self.orig_len >= 0 else self.n
         if self.n > 0:
             if np.any(np.diff(positions) <= 0):
@@ -231,12 +235,18 @@ def overwrite_file(path):
 
 
 def write_luvc1(grid: TokenGrid, path) -> None:
-    """Magic 'LUVC', u8 version, u32le h/w/d, f32le data, f32le sizes."""
+    """Magic 'LUVC', u8 version, u32le h/w/d, f32le data, f32le sizes.
+    A grid that overflows float32 is refused before `path` is opened."""
+    with np.errstate(over="ignore"):
+        data = np.ascontiguousarray(grid.data, dtype="<f4")
+        sizes = np.ascontiguousarray(grid.sizes, dtype="<f4")
+    if not (np.isfinite(data).all() and np.isfinite(sizes).all()):
+        raise FormatError("LUVC1: grid values overflow float32")
     with overwrite_file(path) as f:
         f.write(LUVC1_MAGIC)
         f.write(struct.pack("<BIII", LUVC1_VERSION, grid.h, grid.w, grid.d))
-        f.write(np.ascontiguousarray(grid.data, dtype="<f4"))
-        f.write(np.ascontiguousarray(grid.sizes, dtype="<f4"))
+        f.write(data)
+        f.write(sizes)
 
 
 def read_luvc1(path) -> TokenGrid:
@@ -254,15 +264,11 @@ def parse_luvc1(blob: bytes) -> TokenGrid:
     if version != LUVC1_VERSION:
         raise FormatError(f"LUVC1: unsupported version {version}")
     h, w, d = struct.unpack_from("<III", blob, 5)
-    if d < 1:
-        raise FormatError("LUVC1: feature dim must be >= 1")
     expect = 17 + 4 * (h * w * d) + 4 * (h * w)
     if len(blob) != expect:
         raise FormatError(f"LUVC1: expected {expect} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f4", count=h * w * d, offset=17)
     sizes = np.frombuffer(blob, dtype="<f4", count=h * w, offset=17 + 4 * h * w * d)
-    if not np.all(np.isfinite(data)) or not np.all(np.isfinite(sizes)):
-        raise FormatError("LUVC1: non-finite values")
     try:
         return TokenGrid(h, w, d, data, sizes)
     except ShapeError as e:
@@ -282,31 +288,30 @@ def write_grid_json(grid: TokenGrid, path) -> None:
         json.dump(doc, f)
 
 
-def read_grid_json(path) -> TokenGrid:
-    with open(path) as f:
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def read_json_doc(path, what: str):
+    """The JSON document at `path`; FormatError(f"{what}: ...") unless it is
+    UTF-8 and JSON with finite numbers only."""
+    with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise FormatError(f"grid JSON: {e}") from e
-    return _grid_from_doc(doc)
+            return json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
+        except (ValueError, RecursionError) as e:  # decode and parse errors are ValueErrors
+            raise FormatError(f"{what}: {e}") from e
 
 
-def _grid_from_doc(doc) -> TokenGrid:
+def read_grid_json(path) -> TokenGrid:
+    doc = read_json_doc(path, "grid JSON")
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise FormatError("grid JSON: missing schema marker")
     try:
-        h, w, d = int(doc["h"]), int(doc["w"]), int(doc["d"])
-        data = np.asarray(doc["data"], dtype=np.float64)
-        sizes = np.asarray(doc["sizes"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as e:
-        raise FormatError(f"grid JSON: {e}") from e
-    if data.size != h * w * d or sizes.size != h * w:
-        raise FormatError("grid JSON: data/sizes length mismatch")
-    if not np.all(np.isfinite(data)) or not np.all(np.isfinite(sizes)):
-        raise FormatError("grid JSON: non-finite values")
-    try:
-        return TokenGrid(h, w, d, data, sizes)
-    except ShapeError as e:
+        return TokenGrid(int(doc["h"]), int(doc["w"]), int(doc["d"]), doc["data"], doc["sizes"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # ShapeError is a ValueError
         raise FormatError(f"grid JSON: {e}") from e
 
 

@@ -16,6 +16,7 @@ additive sinusoidal encodings before layer 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -70,6 +71,8 @@ class ToyModelConfig:
     text_len: int = 8
 
     def __post_init__(self):
+        for name in ("d", "heads", "seed", "text_len"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ShapeError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.text_len < 0:

@@ -162,6 +162,20 @@ def test_usage_errors_exit_1(capsys):
     assert run([]) == 1
     assert run(["theory", "--bogus-flag"]) == 1
     assert run(["spectrum", "image.pgm", "--patch", 0]) == 1
+    for argv in (["merge", "g.luvc", "--out", "o.luvc", "--m", -1],
+                 ["merge", "g.luvc", "--out", "o.luvc", "--oim-steps", -1],
+                 ["spectrum", "g.luvc", "--keep", -1],
+                 ["baseline", "g.luvc", "--kind", "nearest", "--out", "o.luvc", "--target-h", -1],
+                 ["baseline", "g.luvc", "--kind", "nearest", "--out", "o.luvc", "--target-w", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--text-len", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--m", -1],
+                 ["theory", "--n", 0],
+                 ["theory", "--t", -1],
+                 ["bench", "--sizes", 16],
+                 ["bench", "--sizes", "16,16"],
+                 ["bench", "--sizes", "1,16"],
+                 ["bench", "--m", -1]):
+        assert run(argv) == 1, argv
     assert capsys.readouterr().err != ""
 
 
@@ -185,6 +199,13 @@ def test_corrupt_grid_exits_2(tmp_path, capsys):
     assert run(["merge", path, "--m", 1, "--out", tmp_path / "out.luvc"]) == 2
     assert not (tmp_path / "out.luvc").exists()
     assert capsys.readouterr().err.count("data error") == 2
+    # a grid that overflows float32 would write a LUVC1 file no reader accepts
+    path.write_text('{"schema": 1, "h": 2, "w": 2, "d": 1, "data": [1, 1e39, 0, 2], '
+                    '"sizes": [1, 1, 1, 1]}')
+    (tmp_path / "out.luvc").write_bytes(b"old output")
+    assert run(["merge", path, "--m", 0, "--out", tmp_path / "out.luvc"]) == 2
+    assert (tmp_path / "out.luvc").read_bytes() == b"old output"
+    assert capsys.readouterr().err.startswith("data error")
 
 
 def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):
@@ -193,13 +214,31 @@ def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):
     assert run(["simulate", grid_file, "--schedule", bad]) == 2
     bad.write_text(json.dumps({"schema": 1, "schedule": {"merge_pairs": [[0, 5]]}}))
     assert run(["simulate", grid_file, "--schedule", bad]) == 2
-    capsys.readouterr()
+    bad.write_bytes(b'{"schema": 1, "schedule": {"filter_mode": "\xff"}}')
+    assert run(["simulate", grid_file, "--schedule", bad]) == 2
+    for schedule in ({"l0": 1.7}, {"bogus": 3}, {"m": "2"}):
+        bad.write_text(json.dumps({"schema": 1, "schedule": schedule}))
+        assert run(["simulate", grid_file, "--schedule", bad]) == 2, schedule
+    bad.write_text(json.dumps({"schema": 1, "model": {"seed": 0.5}, "schedule": {}}))
+    assert run(["simulate", grid_file, "--schedule", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.count("data error: schedule JSON") == 7
 
 
 def test_semantic_errors_exit_2(grid_file, capsys):
     assert run(["spectrum", grid_file, "--keep", 99]) == 2
     assert run(["merge", grid_file, "--m", 99, "--out", "/dev/null"]) == 2
     capsys.readouterr()
+
+
+def test_internal_errors_exit_3_with_a_traceback(grid_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("broken on purpose")
+
+    monkeypatch.setattr("tokcomp.spectral.spectral_prune", broken)
+    assert run(["spectrum", grid_file]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: broken on purpose" in err
 
 
 def test_help_exits_0(capsys):

@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 
 from tokcomp.errors import FormatError
@@ -88,6 +91,8 @@ def test_report_round_trip(tmp_path):
 def test_report_validates_ratio_sum():
     with pytest.raises(ValueError):
         CompressionReport((), 10, 5, 0.9, 0.2, 0)
+    with pytest.raises(ValueError):
+        CompressionReport((), 1, 0, math.nan, math.nan, 0)
 
 
 def test_report_rejects_flops_inflation():
@@ -98,6 +103,14 @@ def test_report_rejects_flops_inflation():
 def test_report_rejects_bad_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema": 99}')
+    with pytest.raises(FormatError):
+        CompressionReport.load(path)
+    path.write_bytes(b'{"schema": 1, "stage": "\xff"}')
+    with pytest.raises(FormatError):
+        CompressionReport.load(path)
+    doc = report_fixture().to_doc()
+    doc["retention_ratio"] = doc["pruning_ratio"] = float("nan")
+    path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         CompressionReport.load(path)
 

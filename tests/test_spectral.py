@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from oracles import direct_dft, direct_idft, naive_filter_energies
 from tokcomp.errors import ShapeError
-from tokcomp.spectral import (apply_filter, cutoff_from_ratio, dft_forward,
-                              dft_inverse, make_filter, spectral_prune,
-                              token_energy, topk_ascending)
+from tokcomp.spectral import (EnergyRanking, apply_filter, cutoff_from_ratio,
+                              dft_forward, dft_inverse, make_filter,
+                              spectral_prune, token_energy, topk_ascending)
 from tokcomp.tokens import TokenSequence
 
 
@@ -174,6 +174,13 @@ def test_energies_match_naive_pipeline(mode, n, d):
 
 def test_topk_selection_order():
     assert topk_ascending(np.array([3.0, 1.0, 4.0, 2.0]), 2).tolist() == [0, 2]
+
+
+def test_ranking_does_not_alias_its_inputs():
+    energies, kept = np.array([0.5, 0.25, 0.125]), np.array([0, 2])
+    ranking = EnergyRanking(energies, kept)
+    energies[0], kept[0] = 99.0, 1
+    assert ranking.energies[0] == 0.5 and ranking.kept[0] == 0
 
 
 def test_prune_keep_all_is_identity():

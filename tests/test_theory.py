@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokcomp.theory import dc_component, hc_component, smoothing_trace
+from tokcomp.theory import (SmoothingTrace, dc_component, hc_component,
+                            smoothing_trace)
 
 
 def random_stochastic(rng, n):
@@ -73,6 +74,13 @@ def test_ratio_decays_for_positive_stochastic_matrices():
     below = np.nonzero(trace.ratios < trace.ratios[0])[0]
     assert below.size > 0
     assert np.all(trace.ratios[below[0]:] <= trace.ratios[0])
+
+
+def test_trace_does_not_alias_its_input():
+    ratios = np.array([1.0, 0.5])
+    trace = SmoothingTrace(ratios, 1)
+    ratios[0] = 99.0
+    assert trace.ratios[0] == 1.0
 
 
 def test_ratios_scale_invariant():

@@ -100,6 +100,18 @@ def test_sizes_must_be_integral():
         TokenGrid(1, 2, 1, np.zeros((1, 2, 1)), np.array([[1.0, 1.5]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_containers_reject_non_finite_values(bad):
+    data = np.ones((2, 2, 1))
+    data[1, 0, 0] = bad
+    with pytest.raises(ShapeError):
+        TokenGrid.from_data(data)
+    with pytest.raises(ShapeError):
+        TokenGrid(2, 2, 1, np.ones((2, 2, 1)), np.array([[1, 1], [bad, 1]]))
+    with pytest.raises(ShapeError):
+        TokenSequence.from_data(data.reshape(4, 1))
+
+
 def test_containers_are_immutable():
     g = TokenGrid.from_data(np.zeros((2, 2, 1)))
     with pytest.raises(ValueError):
@@ -149,6 +161,15 @@ def test_luvc1_rewrite_over_a_longer_file(tmp_path):
     assert np.array_equal(read_luvc1(path).data, small.data)
 
 
+def test_luvc1_write_refuses_float32_overflow(tmp_path):
+    path = tmp_path / "g.luvc"
+    path.write_bytes(b"old contents")
+    for data, sizes in ((np.full((1, 2, 1), 1e39), None), (np.ones((1, 1, 1)), np.array([[1e39]]))):
+        with pytest.raises(FormatError):
+            write_luvc1(TokenGrid.from_data(data, sizes), path)
+    assert path.read_bytes() == b"old contents"
+
+
 def test_luvc1_empty_grid_round_trip(tmp_path):
     empty = TokenGrid(0, 0, 3, np.zeros((0, 0, 3)), np.zeros((0, 0)))
     path = tmp_path / "empty.luvc"
@@ -189,11 +210,15 @@ def test_grid_json_rejects_undecodable_and_non_finite(tmp_path):
     path.write_bytes(b'{"schema": 1, "h": 1, "w": 1, "d": 1, "data": [\xff], "sizes": [1]}')
     with pytest.raises(FormatError):
         read_grid_json(path)
-    for data, sizes in (("NaN", "1"), ("Infinity", "1"), ("1", "NaN"), ("1", "Infinity")):
+    for data, sizes in (("NaN", "1"), ("Infinity", "1"), ("1", "NaN"), ("1", "Infinity"),
+                        ("1e999", "1"), ("1", "-1e999")):
         path.write_text(f'{{"schema": 1, "h": 1, "w": 1, "d": 1, '
                         f'"data": [{data}], "sizes": [{sizes}]}}')
         with pytest.raises(FormatError):
             read_grid_json(path)
+    path.write_text("[" * 50_000 + "]" * 50_000)
+    with pytest.raises(FormatError):
+        read_grid_json(path)
 
 
 def test_load_grid_dispatches_on_magic(tmp_path):
