@@ -200,9 +200,9 @@ def build_parser() -> _Parser:
     _add_input(p)
     p.add_argument("--schedule", required=True, help="run-config JSON path")
     p.add_argument("--text-len", type=_int_at_least(0), default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the model seed")
-    p.add_argument("--l0", type=int, default=None, help="override first pruning layer")
-    p.add_argument("--l-delta", type=int, default=None, help="override pruning interval")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the model seed")
+    p.add_argument("--l0", type=_int_at_least(0), default=None, help="override first pruning layer")
+    p.add_argument("--l-delta", type=_int_at_least(1), default=None, help="override pruning interval")
     p.add_argument("--m", type=_int_at_least(0), default=None, help="override merges per axis")
     p.add_argument("--sigma-ratio", type=float, default=None)
     p.add_argument("--filter-mode", choices=spectral.FILTER_MODES, default=None)
@@ -214,14 +214,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=pipeline.BASELINE_KINDS, required=True)
     p.add_argument("--target-h", type=_int_at_least(0), default=0)
     p.add_argument("--target-w", type=_int_at_least(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output LUVC1 grid")
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("theory", help="emit an HC/DC smoothing trace as CSV")
     p.add_argument("--n", type=_int_at_least(1), default=64)
     p.add_argument("--t", type=_int_at_least(0), default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_theory)
 

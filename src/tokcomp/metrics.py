@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -131,13 +132,13 @@ class CompressionReport:
             raise FormatError("report JSON: missing schema marker")
         try:
             counts = tuple(
-                LayerCount(e["stage"], int(e["layer"]), int(e["visual"]),
-                           int(e["text"]), int(e["base_visual"]))
+                LayerCount(e["stage"], index(e["layer"]), index(e["visual"]),
+                           index(e["text"]), index(e["base_visual"]))
                 for e in doc["per_layer_counts"]
             )
-            return cls(counts, int(doc["flops_base"]), int(doc["flops_compressed"]),
+            return cls(counts, index(doc["flops_base"]), index(doc["flops_compressed"]),
                        float(doc["retention_ratio"]), float(doc["pruning_ratio"]),
-                       int(doc["similarity_ops"]), dict(doc.get("timings_ms", {})))
+                       index(doc["similarity_ops"]), dict(doc.get("timings_ms", {})))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"report JSON: {e}") from e
 

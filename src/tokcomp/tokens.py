@@ -25,6 +25,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -310,7 +311,7 @@ def read_grid_json(path) -> TokenGrid:
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise FormatError("grid JSON: missing schema marker")
     try:
-        return TokenGrid(int(doc["h"]), int(doc["w"]), int(doc["d"]), doc["data"], doc["sizes"])
+        return TokenGrid(index(doc["h"]), index(doc["w"]), index(doc["d"]), doc["data"], doc["sizes"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # ShapeError is a ValueError
         raise FormatError(f"grid JSON: {e}") from e
 

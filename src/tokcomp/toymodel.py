@@ -11,6 +11,12 @@ A block is pre-norm-free and minimal: multi-head softmax attention with the
 merged-size value boost (see merging.value_enhance) plus a two-layer ReLU
 feed-forward, both with residuals.  Position information enters once, as
 additive sinusoidal encodings before layer 0.
+
+Attention holds one float64 score buffer per call, at most
+max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run in groups that
+fit the budget (one head at a time once 8n² reaches it), and the scaling and
+softmax write into that buffer instead of allocating copies.  The outputs
+are bit-identical to scoring all heads at once.
 """
 
 from __future__ import annotations
@@ -32,6 +38,9 @@ STAGE_TEXT = 2
 STAGE_CONNECTOR = 3
 
 FF_EXPANSION = 2
+
+# Bytes of float64 attention scores held at once; see attention.
+SCORE_BLOCK_BYTES = 8 << 20
 
 
 def _mix64_scalar(x: int) -> int:
@@ -112,14 +121,26 @@ def sinusoidal_positions(positions: np.ndarray, d: int) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Normalise the last axis of float64 x in place and return x.
+
+    Same operations in the same order as exp(x - max) / sum, written into x,
+    so the result is bit-identical to the copying form.
+    """
+    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
+    np.exp(x, out=x)
+    np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
+    return x
 
 
 def attention(x: np.ndarray, lw: LayerWeights, heads: int,
               sizes: np.ndarray | None = None) -> np.ndarray:
-    """Multi-head softmax attention; sizes trigger the log-size value boost."""
+    """Multi-head softmax attention; sizes trigger the log-size value boost.
+
+    Heads run in groups of g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²))
+    through one (g, n, n) score buffer: scores, scaling and softmax all
+    write into it, so score memory peaks at max(SCORE_BLOCK_BYTES, 8n²)
+    bytes.  Each head's arithmetic is that of the batched form.
+    """
     n, d = x.shape
     if n == 0:
         return x.copy()
@@ -130,8 +151,16 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
     kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    out = value_enhance(softmax_rows(scores), vh, np.ones(n) if sizes is None else sizes)
+    sizes = np.ones(n) if sizes is None else sizes
+    g = max(1, min(heads, SCORE_BLOCK_BYTES // (8 * n * n)))
+    scores = np.empty((g, n, n))
+    out = np.empty((heads, n, dh))
+    for h0 in range(0, heads, g):
+        h1 = min(h0 + g, heads)
+        s = scores[:h1 - h0]
+        np.matmul(qh[h0:h1], kh[h0:h1].mT, out=s)
+        np.divide(s, np.sqrt(dh), out=s)
+        out[h0:h1] = value_enhance(softmax_rows(s), vh[h0:h1], sizes)
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

@@ -169,6 +169,11 @@ def test_usage_errors_exit_1(capsys):
                  ["baseline", "g.luvc", "--kind", "nearest", "--out", "o.luvc", "--target-w", -1],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--text-len", -1],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--m", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--seed", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--l0", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--l-delta", 0],
+                 ["baseline", "g.luvc", "--kind", "nearest", "--out", "o.luvc", "--seed", -1],
+                 ["theory", "--seed", -1],
                  ["theory", "--n", 0],
                  ["theory", "--t", -1],
                  ["bench", "--sizes", 16],

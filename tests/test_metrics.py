@@ -113,6 +113,19 @@ def test_report_rejects_bad_schema(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError):
         CompressionReport.load(path)
+    # counts are integers, never truncated: each is refused at value + 0.5
+    for key in ("layer", "visual", "text", "base_visual"):
+        doc = report_fixture().to_doc()
+        doc["per_layer_counts"][0][key] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            CompressionReport.load(path)
+    for key in ("flops_base", "flops_compressed", "similarity_ops"):
+        doc = report_fixture().to_doc()
+        doc[key] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            CompressionReport.load(path)
 
 
 def make_report(visual_counts, base):

@@ -219,6 +219,13 @@ def test_grid_json_rejects_undecodable_and_non_finite(tmp_path):
     path.write_text("[" * 50_000 + "]" * 50_000)
     with pytest.raises(FormatError):
         read_grid_json(path)
+    # counts are integers, never truncated: "h": 1.9 is not h = 1
+    for key, value in (("h", "1.9"), ("w", "1.0"), ("d", '"1"')):
+        dims = {"h": "1", "w": "1", "d": "1", key: value}
+        path.write_text(f'{{"schema": 1, "h": {dims["h"]}, "w": {dims["w"]}, '
+                        f'"d": {dims["d"]}, "data": [1], "sizes": [1]}}')
+        with pytest.raises(FormatError):
+            read_grid_json(path)
 
 
 def test_load_grid_dispatches_on_magic(tmp_path):

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tokcomp import toymodel
 from tokcomp.errors import ShapeError
+from tokcomp.merging import value_enhance
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
                               attention, block_forward, connector_matrix,
                               layer_weights, sinusoidal_positions, softmax_rows,
@@ -45,7 +48,12 @@ def test_config_validates_head_divisibility():
 
 
 def test_softmax_rows_are_stochastic():
-    a = softmax_rows(np.random.default_rng(0).normal(size=(4, 6, 6)))
+    x = np.random.default_rng(0).normal(size=(4, 6, 6))
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    a = softmax_rows(x)
+    assert a is x  # normalised in place
+    assert np.array_equal(a, want)
     assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -95,6 +103,57 @@ def test_unit_sizes_take_the_plain_path():
     lw = layer_weights(cfg, STAGE_ENCODER, 0)
     x = np.random.default_rng(3).normal(size=(5, 8))
     assert np.array_equal(attention(x, lw, 2, sizes=np.ones(5)), attention(x, lw, 2))
+
+
+def batched_attention(x, lw, heads, sizes=None):
+    """All heads in one score tensor, with a copying softmax."""
+    n, d = x.shape
+    dh = d // heads
+    qh, kh, vh = ((x @ w).reshape(n, heads, dh).transpose(1, 0, 2)
+                  for w in (lw.wq, lw.wk, lw.wv))
+    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = value_enhance(e / e.sum(axis=-1, keepdims=True), vh,
+                        np.ones(n) if sizes is None else sizes)
+    return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
+
+
+@pytest.mark.parametrize("sized", [False, True])
+def test_attention_is_bit_identical_for_every_head_group(monkeypatch, sized):
+    heads, d, n = 4, 32, 20
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, d))
+    sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
+    want = batched_attention(x, lw, heads, sizes)
+    groups = []
+    real_softmax = toymodel.softmax_rows
+
+    def counting_softmax(s):
+        groups.append(s.shape[0])
+        return real_softmax(s)
+
+    monkeypatch.setattr(toymodel, "softmax_rows", counting_softmax)
+    for g, expect in ((1, [1, 1, 1, 1]), (2, [2, 2]), (3, [3, 1]), (4, [4])):
+        monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", g * 8 * n * n)
+        groups.clear()
+        assert np.array_equal(attention(x, lw, heads, sizes), want), g
+        assert groups == expect
+    monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", 0)  # never fewer than one head
+    assert np.array_equal(attention(x, lw, heads, sizes), want)
+
+
+def test_attention_holds_one_score_block():
+    n, d, heads = 1024, 64, 4
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads), STAGE_ENCODER, 0)
+    x = np.random.default_rng(0).normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        attention(x, lw, heads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n * n, peak
 
 
 def test_block_forward_empty_input():
