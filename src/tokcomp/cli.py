@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import images, merging, pipeline, spectral, theory
+from . import images, merging, pipeline, spectral, theory, toymodel
 from .metrics import LayerCount, reduction_ratio
 from .tokens import TokenGrid, load_grid, sequence_from_grid, write_luvc1
 from .tokens import read_luvc1  # noqa: F401  perfbench traces tokcomp.cli.read_luvc1
@@ -44,15 +44,16 @@ def _load_grid_arg(args) -> TokenGrid:
     return load_grid(args.input)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low."""
+def _int_at_least(low: int, below: int | None = None):
+    """argparse type: an integer >= low, and < below when below is given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = low - 1
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        if value < low or (below is not None and value >= below):
+            bound = f"in [{low}, {below})" if below is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer {bound}")
         return value
     return parse
 
@@ -200,7 +201,8 @@ def build_parser() -> _Parser:
     _add_input(p)
     p.add_argument("--schedule", required=True, help="run-config JSON path")
     p.add_argument("--text-len", type=_int_at_least(0), default=None)
-    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override the model seed")
+    p.add_argument("--seed", type=_int_at_least(0, toymodel.SEED_LIMIT), default=None,
+                   help="override the model seed")
     p.add_argument("--l0", type=_int_at_least(0), default=None, help="override first pruning layer")
     p.add_argument("--l-delta", type=_int_at_least(1), default=None, help="override pruning interval")
     p.add_argument("--m", type=_int_at_least(0), default=None, help="override merges per axis")

@@ -17,10 +17,23 @@ max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run in groups that
 fit the budget (one head at a time once 8n² reaches it), and the scaling and
 softmax write into that buffer instead of allocating copies.  The outputs
 are bit-identical to scoring all heads at once.
+
+Weights are generated once per config.  layer_weights, connector_matrix and
+text_tokens keep what they generate in one cache keyed by the frozen
+ToyModelConfig; a call with a different config empties it, so it holds at
+most one model.  A tensor is added only while the held bytes stay within
+WEIGHT_CACHE_BYTES (16 MiB); beyond that, tensors are generated per call.
+A whole model (18 layers, connector, text) takes about 1.16 MiB at d = 32,
+4.63 MiB at d = 64 and 72 MiB at d = 256, so every model up to d = 64 is
+held whole.  Every array these three functions return is read-only, cached
+or not, so no caller can corrupt the cache and none behaves differently
+under another budget.  Cached arrays are the arrays the recipe generates,
+so outputs do not depend on the cache.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from operator import index
 
@@ -30,7 +43,8 @@ from .errors import ShapeError
 from .merging import value_enhance
 
 _GOLDEN = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
+SEED_LIMIT = 1 << 64  # model seeds lie in [0, SEED_LIMIT)
+_MASK = SEED_LIMIT - 1
 
 STAGE_ENCODER = 0
 STAGE_LLM = 1
@@ -41,6 +55,9 @@ FF_EXPANSION = 2
 
 # Bytes of float64 attention scores held at once; see attention.
 SCORE_BLOCK_BYTES = 8 << 20
+
+# Bytes of generated weights kept for the most recent config; see the module doc.
+WEIGHT_CACHE_BYTES = 16 << 20
 
 
 def _mix64_scalar(x: int) -> int:
@@ -86,6 +103,8 @@ class ToyModelConfig:
             raise ShapeError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.text_len < 0:
             raise ShapeError("text_len must be non-negative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ShapeError(f"seed={self.seed} outside [0, 2**64)")
 
 
 @dataclass(frozen=True)
@@ -98,7 +117,43 @@ class LayerWeights:
     w2: np.ndarray
 
 
+class _WeightCache:
+    """Tensors generated for one ToyModelConfig, at most WEIGHT_CACHE_BYTES.
+
+    Entries are tuples of read-only arrays keyed by the generating
+    function's name and its arguments after the config.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.cfg: ToyModelConfig | None = None
+        self.nbytes = 0
+        self._held: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def get(self, cfg: ToyModelConfig, key: tuple, build) -> tuple[np.ndarray, ...]:
+        """The cached arrays for key, else build()'s, frozen and kept if they fit."""
+        with self._lock:
+            if cfg != self.cfg:
+                self.cfg, self.nbytes, self._held = cfg, 0, {}
+            elif key in self._held:
+                return self._held[key]
+        arrays = build()
+        for a in arrays:
+            a.flags.writeable = False
+        size = sum(a.nbytes for a in arrays)
+        with self._lock:
+            if (cfg == self.cfg and key not in self._held
+                    and self.nbytes + size <= WEIGHT_CACHE_BYTES):
+                self._held[key] = arrays
+                self.nbytes += size
+        return arrays
+
+
+_WEIGHTS = _WeightCache()
+
+
 def layer_weights(cfg: ToyModelConfig, stage: int, layer: int) -> LayerWeights:
+    """The read-only weights of one block, generated once per config."""
     d = cfg.d
     ff = FF_EXPANSION * d
 
@@ -106,8 +161,9 @@ def layer_weights(cfg: ToyModelConfig, stage: int, layer: int) -> LayerWeights:
         s = tensor_seed(cfg.seed, stage, layer, slot)
         return uniform_tensor(s, (rows, cols), 1.0 / np.sqrt(rows))
 
-    return LayerWeights(mat(0, d, d), mat(1, d, d), mat(2, d, d),
-                        mat(3, d, d), mat(4, d, ff), mat(5, ff, d))
+    return LayerWeights(*_WEIGHTS.get(cfg, ("layer_weights", stage, layer), lambda: (
+        mat(0, d, d), mat(1, d, d), mat(2, d, d),
+        mat(3, d, d), mat(4, d, ff), mat(5, ff, d))))
 
 
 def sinusoidal_positions(positions: np.ndarray, d: int) -> np.ndarray:
@@ -175,12 +231,15 @@ def block_forward(x: np.ndarray, lw: LayerWeights, heads: int,
 
 
 def text_tokens(cfg: ToyModelConfig, text_len: int | None = None) -> np.ndarray:
-    """Synthetic text features, uniform(-1, 1), (text_len, d)."""
+    """Synthetic text features, uniform(-1, 1), (text_len, d), read-only."""
     t = cfg.text_len if text_len is None else text_len
-    return uniform_tensor(tensor_seed(cfg.seed, STAGE_TEXT, 0, 0), (t, cfg.d), 1.0)
+    s = tensor_seed(cfg.seed, STAGE_TEXT, 0, 0)
+    return _WEIGHTS.get(cfg, ("text_tokens", t),
+                        lambda: (uniform_tensor(s, (t, cfg.d), 1.0),))[0]
 
 
 def connector_matrix(cfg: ToyModelConfig, d_in: int) -> np.ndarray:
-    """Seeded linear map from projector output width back to model width."""
+    """Seeded linear map from projector output width back to model width, read-only."""
     s = tensor_seed(cfg.seed, STAGE_CONNECTOR, 0, d_in)
-    return uniform_tensor(s, (d_in, cfg.d), 1.0 / np.sqrt(d_in))
+    return _WEIGHTS.get(cfg, ("connector_matrix", d_in),
+                        lambda: (uniform_tensor(s, (d_in, cfg.d), 1.0 / np.sqrt(d_in)),))[0]

@@ -170,6 +170,7 @@ def test_usage_errors_exit_1(capsys):
                  ["simulate", "g.luvc", "--schedule", "s.json", "--text-len", -1],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--m", -1],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--seed", -1],
+                 ["simulate", "g.luvc", "--schedule", "s.json", "--seed", 2**64],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--l0", -1],
                  ["simulate", "g.luvc", "--schedule", "s.json", "--l-delta", 0],
                  ["baseline", "g.luvc", "--kind", "nearest", "--out", "o.luvc", "--seed", -1],
@@ -226,8 +227,13 @@ def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):
         assert run(["simulate", grid_file, "--schedule", bad]) == 2, schedule
     bad.write_text(json.dumps({"schema": 1, "model": {"seed": 0.5}, "schedule": {}}))
     assert run(["simulate", grid_file, "--schedule", bad]) == 2
+    # seeds outside [0, 2**64) would alias in-range seeds once masked to 64 bits
+    for seed in (-1, 2**64):
+        model = {"d": 8, "heads": 2, "seed": seed}
+        bad.write_text(json.dumps({"schema": 1, "model": model, "schedule": {}}))
+        assert run(["simulate", grid_file, "--schedule", bad]) == 2, seed
     err = capsys.readouterr().err
-    assert err.count("data error: schedule JSON") == 7
+    assert err.count("data error: schedule JSON") == 9
 
 
 def test_semantic_errors_exit_2(grid_file, capsys):

@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from tokcomp import pipeline, toymodel
 from tokcomp.errors import (ProjectorCompatibilityError, ScheduleError,
                             ShapeError)
 from tokcomp.merging import merge_flat
@@ -314,3 +318,45 @@ def test_trace_counts_change_only_at_scheduled_layers():
     for prev, cur in zip(llm_entries, llm_entries[1:]):
         if cur.layer not in sched.spu_layers:
             assert cur.visual == prev.visual
+
+
+@pytest.mark.parametrize("side,d", [(16, 32), (32, 64)])
+def test_weight_cache_changes_no_number(monkeypatch, side, d):
+    grid = rand_grid(side, side, side, d)
+    cfg = ToyModelConfig(d=d, heads=4, seed=side, text_len=8)
+    sched = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)),
+                                m=2, llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+    outputs = []
+    encoder_run, llm = pipeline._encoder_run, pipeline.llm_forward
+
+    def recording_encoder(*args):
+        out = encoder_run(*args)
+        outputs.extend((out[0].data, out[0].sizes))
+        return out
+
+    def recording_llm(*args, **kwargs):
+        out = llm(*args, **kwargs)
+        outputs.append(out[0].data)
+        return out
+
+    monkeypatch.setattr(pipeline, "_encoder_run", recording_encoder)
+    monkeypatch.setattr(pipeline, "llm_forward", recording_llm)
+
+    def digest():
+        outputs.clear()
+        doc = run_experiment(grid, None, cfg, sched).to_doc()
+        del doc["timings_ms"]
+        h = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+        for a in outputs:
+            h.update(a.tobytes())
+        return h.hexdigest()
+
+    digests, held = [], []
+    for budget in (0, toymodel.WEIGHT_CACHE_BYTES):  # generated per call, then cached
+        monkeypatch.setattr(toymodel, "WEIGHT_CACHE_BYTES", budget)
+        monkeypatch.setattr(toymodel, "_WEIGHTS", toymodel._WeightCache())
+        digests.append(digest())
+        held.append(toymodel._WEIGHTS.nbytes)
+    digests.append(digest())  # served from the cache
+    assert len(outputs) == 3 and len(set(digests)) == 1
+    assert held == [0, 8 * (18 * 8 * d * d + 4 * d * d + 8 * d)]

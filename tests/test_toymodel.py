@@ -7,6 +7,8 @@ import pytest
 from tokcomp import toymodel
 from tokcomp.errors import ShapeError
 from tokcomp.merging import value_enhance
+from tokcomp.pipeline import CompressionSchedule, run_experiment
+from tokcomp.tokens import TokenGrid
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
                               attention, block_forward, connector_matrix,
                               layer_weights, sinusoidal_positions, softmax_rows,
@@ -45,6 +47,14 @@ def test_weight_scale_bound():
 def test_config_validates_head_divisibility():
     with pytest.raises(ShapeError):
         ToyModelConfig(d=30, heads=4)
+
+
+def test_config_refuses_seeds_outside_64_bits():
+    # tensor_seed masks to 64 bits, so -1 would alias 2**64 - 1 and 2**64 alias 0
+    for seed in (-1, 2**64, -2**64):
+        with pytest.raises(ShapeError):
+            ToyModelConfig(seed=seed)
+    assert ToyModelConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 def test_softmax_rows_are_stochastic():
@@ -169,3 +179,75 @@ def test_text_tokens_and_connector_shapes():
     assert text_tokens(cfg, 3).shape == (3, 16)
     assert connector_matrix(cfg, 64).shape == (64, 16)
     assert np.array_equal(text_tokens(cfg), text_tokens(cfg))
+
+
+# -- weight cache -------------------------------------------------------------
+
+@pytest.fixture
+def empty_cache(monkeypatch):
+    cache = toymodel._WeightCache()
+    monkeypatch.setattr(toymodel, "_WEIGHTS", cache)
+    return cache
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Shapes of the tensors uniform_tensor generates, in call order."""
+    shapes = []
+    real = toymodel.uniform_tensor
+
+    def counting(seed, shape, scale):
+        shapes.append(shape)
+        return real(seed, shape, scale)
+
+    monkeypatch.setattr(toymodel, "uniform_tensor", counting)
+    return shapes
+
+
+def test_second_run_generates_no_weights(empty_cache, generated):
+    grid = TokenGrid.from_data(np.random.default_rng(0).normal(size=(8, 8, 16)))
+    cfg = ToyModelConfig(d=16, heads=2, seed=3, text_len=4)
+    sched = CompressionSchedule(enc_layers=4, merge_pairs=((0, 1),), m=2,
+                                llm_layers=6, l0=2, l_delta=2, projector_factor=2)
+    first = run_experiment(grid, None, cfg, sched)
+    assert len(generated) == 6 * (4 + 6) + 2  # six per block, connector, text
+    generated.clear()
+    second = run_experiment(grid, None, cfg, sched)
+    assert generated == []
+    assert second.per_layer_counts == first.per_layer_counts
+    assert empty_cache.cfg == cfg and empty_cache.nbytes == 8 * (10 * 8 * 16**2 + 64 * 16 + 4 * 16)
+
+
+@pytest.mark.parametrize("cached", [True, False])
+def test_returned_weights_are_read_only(empty_cache, monkeypatch, cached):
+    if not cached:
+        monkeypatch.setattr(toymodel, "WEIGHT_CACHE_BYTES", 0)
+    cfg = ToyModelConfig(d=8, heads=2, seed=11, text_len=3)
+    for _ in range(2):  # generated, then cached or generated again
+        lw = layer_weights(cfg, STAGE_LLM, 1)
+        for a in (lw.wq, lw.w2, connector_matrix(cfg, 32), text_tokens(cfg)):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                a += 1.0
+    assert empty_cache.nbytes == (8 * (8 * 8**2 + 32 * 8 + 3 * 8) if cached else 0)
+
+
+def test_new_config_replaces_the_cache_within_its_budget(empty_cache, monkeypatch, generated):
+    layer_bytes = 8 * 8 * 16**2  # wq..wo are d x d, w1 and w2 hold 2d² each
+    monkeypatch.setattr(toymodel, "WEIGHT_CACHE_BYTES", 3 * layer_bytes + layer_bytes // 2)
+    a, b = ToyModelConfig(d=16, heads=2, seed=1), ToyModelConfig(d=16, heads=2, seed=2)
+    first = [layer_weights(a, STAGE_ENCODER, i) for i in range(6)]
+    assert empty_cache.nbytes == 3 * layer_bytes
+    generated.clear()
+    again = [layer_weights(a, STAGE_ENCODER, i) for i in range(6)]
+    assert len(generated) == 6 * 3  # layers 3-5 did not fit
+    assert all(x.wq is y.wq for x, y in zip(first[:3], again[:3]))
+    assert all(np.array_equal(x.w2, y.w2) for x, y in zip(first, again))
+    layer_weights(b, STAGE_ENCODER, 0)
+    assert empty_cache.cfg == b and empty_cache.nbytes == layer_bytes
+    generated.clear()
+    for i in range(3):
+        assert np.array_equal(layer_weights(a, STAGE_ENCODER, i).wq, first[i].wq)
+        assert empty_cache.nbytes <= toymodel.WEIGHT_CACHE_BYTES
+    assert len(generated) == 6 * 3  # a's entries went when b arrived
