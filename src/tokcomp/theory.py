@@ -71,9 +71,9 @@ def smoothing_trace(attn: np.ndarray, z: np.ndarray, t_max: int) -> SmoothingTra
     n = z.size
     if attn.shape != (n, n):
         raise ValueError(f"attn must be {n}x{n}")
-    if np.any(attn <= 0):
+    if not np.all(attn > 0):
         raise ValueError("attn entries must be strictly positive")
-    if np.any(np.abs(attn.sum(axis=1) - 1.0) > 1e-9):
+    if not np.all(np.abs(attn.sum(axis=1) - 1.0) <= 1e-9):
         raise ValueError("attn rows must sum to 1")
     if abs(z.mean()) < DC_GUARD:
         raise ValueError("z has (near-)zero mean; HC/DC ratio undefined")

@@ -8,15 +8,23 @@ mapped to [0, 1) via the top 53 bits, then to uniform(-a, a) with
 a = 1/sqrt(fan_in).  tensor_seed chains mix64 over the tag integers.
 
 A block is pre-norm-free and minimal: multi-head softmax attention with the
-merged-size value boost (see merging.value_enhance) plus a two-layer ReLU
+merged-size value boost (see merging.size_boost) plus a two-layer ReLU
 feed-forward, both with residuals.  Position information enters once, as
 additive sinusoidal encodings before layer 0.
 
-Attention holds one float64 score buffer per call, at most
-max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run in groups that
-fit the budget (one head at a time once 8n² reaches it), and the scaling and
-softmax write into that buffer instead of allocating copies.  The outputs
-are bit-identical to scoring all heads at once.
+Attention normalises after the value product, as FlashAttention does: q
+is scaled by 1/sqrt(dh) before the score matmul (n·d operations instead of
+n² per head), the merged-size boost is added to v once for all heads,
+softmax_rows exponentiates the scores in place and returns the row sums,
+and the n x dh product with v is divided by those sums.  No normalised
+attention matrix is ever formed.  Attention holds one float64 score buffer
+per call, at most max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run
+in groups that fit the budget (one head at a time once 8n² reaches it).
+Outputs are bit-identical to the same arithmetic on all heads at once.
+Against the earlier normalise-then-multiply form (scaled scores, normalised
+rows, then merging.value_enhance) they differ by at most a few 1e-15
+relative per call; whole-run reports, merged sizes and kept sets are
+unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -40,7 +48,7 @@ from operator import index
 import numpy as np
 
 from .errors import ShapeError
-from .merging import value_enhance
+from .merging import size_boost
 
 _GOLDEN = 0x9E3779B97F4A7C15
 SEED_LIMIT = 1 << 64  # model seeds lie in [0, SEED_LIMIT)
@@ -81,7 +89,12 @@ def tensor_seed(seed: int, *tags: int) -> int:
 
 
 def uniform_tensor(seed: int, shape: tuple[int, ...], scale: float) -> np.ndarray:
-    """uniform(-scale, scale) values from the counter hash, row-major."""
+    """uniform(-scale, scale) values from the counter hash, row-major.
+
+    Every dimension must be non-negative.
+    """
+    if any(dim < 0 for dim in shape):
+        raise ShapeError(f"tensor shape {shape} has a negative dimension")
     count = int(np.prod(shape, dtype=np.int64)) if shape else 1
     idx = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = _mix64(np.uint64(seed) + idx)
@@ -177,37 +190,41 @@ def sinusoidal_positions(positions: np.ndarray, d: int) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Normalise the last axis of float64 x in place and return x.
+    """Replace float64 x by exp(x - rowmax) in place; return the row sums.
 
-    Same operations in the same order as exp(x - max) / sum, written into x,
-    so the result is bit-identical to the copying form.
+    The sums have shape (..., n, 1) and x / sums is the softmax of the last
+    axis.  Every sum is at least 1, because the row max contributes exp(0).
     """
     np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
     np.exp(x, out=x)
-    np.divide(x, x.sum(axis=-1, keepdims=True), out=x)
-    return x
+    return x.sum(axis=-1, keepdims=True)
 
 
 def attention(x: np.ndarray, lw: LayerWeights, heads: int,
               sizes: np.ndarray | None = None) -> np.ndarray:
     """Multi-head softmax attention; sizes trigger the log-size value boost.
 
-    Heads run in groups of g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²))
-    through one (g, n, n) score buffer: scores, scaling and softmax all
-    write into it, so score memory peaks at max(SCORE_BLOCK_BYTES, 8n²)
-    bytes.  Each head's arithmetic is that of the batched form.
+    q = (x @ wq) / sqrt(dh) and v = merging.size_boost(x @ wv, sizes) are
+    formed once for all heads.  Heads then run in groups of
+    g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²)) through one (g, n, n)
+    score buffer: the scores are written into it and exponentiated in place
+    by softmax_rows, and the (g, n, dh) product with v is divided by the row
+    sums.  Score memory peaks at max(SCORE_BLOCK_BYTES, 8n²) bytes.  Each
+    head's arithmetic is that of the all-heads form.
     """
     n, d = x.shape
     if n == 0:
         return x.copy()
     dh = d // heads
     q = x @ lw.wq
+    q /= np.sqrt(dh)
     k = x @ lw.wk
     v = x @ lw.wv
+    if sizes is not None:
+        v = size_boost(v, sizes)
     qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
     kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
     vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
-    sizes = np.ones(n) if sizes is None else sizes
     g = max(1, min(heads, SCORE_BLOCK_BYTES // (8 * n * n)))
     scores = np.empty((g, n, n))
     out = np.empty((heads, n, dh))
@@ -215,8 +232,8 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
         h1 = min(h0 + g, heads)
         s = scores[:h1 - h0]
         np.matmul(qh[h0:h1], kh[h0:h1].mT, out=s)
-        np.divide(s, np.sqrt(dh), out=s)
-        out[h0:h1] = value_enhance(softmax_rows(s), vh[h0:h1], sizes)
+        sums = softmax_rows(s)
+        np.divide(s @ vh[h0:h1], sums, out=out[h0:h1])
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

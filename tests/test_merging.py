@@ -201,6 +201,18 @@ def test_value_enhance_rejects_non_stochastic_rows():
         value_enhance(np.eye(3) * 2.0, np.ones((3, 2)), np.ones(3))
 
 
+def test_value_enhance_rejects_nan():
+    attn = np.full((3, 3), 1.0 / 3)
+    values = np.ones((3, 2))
+    bad_attn = attn.copy()
+    bad_attn[1, 2] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        value_enhance(bad_attn, values, np.ones(3))
+    with pytest.raises(ValueError, match="sizes"):
+        value_enhance(attn, values, np.array([1.0, np.nan, 2.0]))
+
+
+
 # -- similarity op counts -----------------------------------------------------
 
 def test_1d_count_quadruples_when_n_doubles():

@@ -277,6 +277,12 @@ def test_no_compression_schedule_reports_zero_pruning():
     assert report.similarity_ops == 0
 
 
+def test_run_experiment_refuses_negative_text_len():
+    grid, cfg, sched = full_setup()
+    with pytest.raises(ShapeError, match="negative"):
+        run_experiment(grid, -3, cfg, sched)
+
+
 def test_report_matches_independent_recomputation():
     grid, cfg, sched = full_setup(2)
     report = run_experiment(grid, 4, cfg, sched)

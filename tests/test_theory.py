@@ -57,6 +57,13 @@ def test_rows_must_be_stochastic():
         smoothing_trace(np.full((4, 4), 0.3), np.ones(4), 5)
 
 
+def test_nan_attention_is_rejected():
+    attn = random_stochastic(np.random.default_rng(1), 5)
+    attn[2, 3] = np.nan
+    with pytest.raises(ValueError, match="strictly positive"):
+        smoothing_trace(attn, np.arange(5.0) + 1, 3)
+
+
 def test_zero_mean_input_rejected():
     attn = random_stochastic(np.random.default_rng(0), 6)
     with pytest.raises(ValueError):

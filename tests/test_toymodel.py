@@ -6,7 +6,7 @@ import pytest
 
 from tokcomp import toymodel
 from tokcomp.errors import ShapeError
-from tokcomp.merging import value_enhance
+from tokcomp.merging import size_boost, value_enhance
 from tokcomp.pipeline import CompressionSchedule, run_experiment
 from tokcomp.tokens import TokenGrid
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
@@ -60,11 +60,12 @@ def test_config_refuses_seeds_outside_64_bits():
 def test_softmax_rows_are_stochastic():
     x = np.random.default_rng(0).normal(size=(4, 6, 6))
     e = np.exp(x - x.max(axis=-1, keepdims=True))
-    want = e / e.sum(axis=-1, keepdims=True)
-    a = softmax_rows(x)
-    assert a is x  # normalised in place
-    assert np.array_equal(a, want)
-    assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12)
+    sums = softmax_rows(x)
+    assert np.array_equal(x, e)  # exponentiated in place
+    assert sums.shape == (4, 6, 1)
+    assert np.array_equal(sums, e.sum(axis=-1, keepdims=True))
+    assert np.all(sums >= 1.0)  # the row max contributes exp(0)
+    assert np.allclose((x / sums).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sinusoidal_positions_shape_and_range():
@@ -116,16 +117,43 @@ def test_unit_sizes_take_the_plain_path():
 
 
 def batched_attention(x, lw, heads, sizes=None):
-    """All heads in one score tensor, with a copying softmax."""
+    """All heads in one score tensor, with a copying softmax normalised after v."""
+    n, d = x.shape
+    dh = d // heads
+    q = (x @ lw.wq) / np.sqrt(dh)
+    v = x @ lw.wv if sizes is None else size_boost(x @ lw.wv, sizes)
+    qh, kh, vh = (a.reshape(n, heads, dh).transpose(1, 0, 2) for a in (q, x @ lw.wk, v))
+    scores = qh @ kh.transpose(0, 2, 1)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    out = (e @ vh) / e.sum(axis=-1, keepdims=True)
+    return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
+
+
+def previous_attention(x, lw, heads, sizes=None):
+    """The normalise-then-multiply form: scale the scores, softmax, value_enhance."""
     n, d = x.shape
     dh = d // heads
     qh, kh, vh = ((x @ w).reshape(n, heads, dh).transpose(1, 0, 2)
                   for w in (lw.wq, lw.wk, lw.wv))
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    out = value_enhance(e / e.sum(axis=-1, keepdims=True), vh,
-                        np.ones(n) if sizes is None else sizes)
+    out = np.empty((heads, n, dh))
+    for h in range(heads):
+        scores = qh[h] @ kh[h].T / np.sqrt(dh)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[h] = value_enhance(e / e.sum(axis=-1, keepdims=True), vh[h],
+                               np.ones(n) if sizes is None else sizes)
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
+
+
+@pytest.mark.parametrize("d,heads", [(8, 2), (32, 4), (48, 3), (64, 4), (64, 8)])
+def test_attention_stays_near_the_previous_formula(d, heads):
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
+    rng = np.random.default_rng(d * heads)
+    for n in (1, 2, 5, 31, 100, 257, 1024):
+        x = rng.normal(size=(n, d))
+        for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
+            want = previous_attention(x, lw, heads, sizes)
+            diff = np.abs(attention(x, lw, heads, sizes) - want).max()
+            assert diff <= 1e-13 * np.abs(want).max(), (n, sizes is None, diff)
 
 
 @pytest.mark.parametrize("sized", [False, True])
@@ -164,6 +192,24 @@ def test_attention_holds_one_score_block():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * n * n, peak
+
+
+def test_attention_refuses_bad_sizes():
+    lw = layer_weights(ToyModelConfig(d=8, heads=2), STAGE_ENCODER, 0)
+    x = np.random.default_rng(0).normal(size=(4, 8))
+    with pytest.raises(ValueError, match="sizes"):
+        attention(x, lw, 2, sizes=np.array([1.0, np.nan, 2.0, 1.0]))
+    with pytest.raises(ShapeError):
+        attention(x, lw, 2, sizes=np.ones(5))
+
+
+def test_negative_dimensions_are_refused():
+    for shape in ((-2, 4), (3, -1), (-1,)):
+        with pytest.raises(ShapeError, match="negative"):
+            uniform_tensor(0, shape, 1.0)
+    assert uniform_tensor(0, (0, 4), 1.0).shape == (0, 4)
+    with pytest.raises(ShapeError, match="negative"):
+        text_tokens(ToyModelConfig(d=16, heads=2), -3)
 
 
 def test_block_forward_empty_input():
