@@ -8,7 +8,7 @@ accounting, and the smoothing-theory check.
 from .errors import (FormatError, ProjectorCompatibilityError, ScheduleError,
                      ShapeError)
 from .merging import (merge_flat, merge_height, merge_step, merge_width,
-                      similarity_op_count, value_enhance)
+                      similarity_op_count)
 from .metrics import (CompressionReport, LayerCount, layer_flops, pipeline_flops,
                       reduction_ratio)
 from .pipeline import (BASELINE_KINDS, CompressionSchedule, baseline_compress,
@@ -21,7 +21,7 @@ from .spectral import (EnergyRanking, SpectrumFilter, apply_filter,
 from .theory import SmoothingTrace, dc_component, hc_component, smoothing_trace
 from .tokens import (ComplexSequence, TokenGrid, TokenSequence, concat_tokens,
                      grid_from_sequence, load_grid, read_luvc1, sequence_from_grid,
-                     split_tokens, write_luvc1)
+                     write_luvc1)
 from .toymodel import ToyModelConfig
 
 __version__ = "0.1.0"

@@ -114,8 +114,8 @@ def size_boost(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     values is (..., n, dv) and sizes (n,), each at least 1; log(sizes) is
     added to every channel of its token row, so tokens that absorbed more
     neighbors carry proportionally more weight under any attention.
-    All-ones sizes return values itself.  value_enhance and
-    toymodel.attention both boost through here.
+    All-ones sizes return values itself.  toymodel.attention boosts its
+    values through here.
     """
     values = np.asarray(values, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64).reshape(-1)
@@ -126,26 +126,6 @@ def size_boost(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     if np.all(sizes == 1.0):
         return values
     return values + np.log(sizes)[:, None]
-
-
-def value_enhance(attn: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Attention output with merged-size boost: attn @ size_boost(values, sizes).
-
-    attn is (..., n, n) with rows summing to 1, values (..., n, dv) with the
-    same leading axes (one per head, say), sizes (n,).  All-ones sizes
-    reduce to plain attention on the identical arithmetic path.  The
-    pipeline's attention applies the same size_boost but never forms
-    normalised rows: it divides attn @ values by the row sums afterwards
-    (see toymodel.attention).
-    """
-    attn = np.asarray(attn, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    n = np.asarray(sizes).size
-    if attn.shape[-2:] != (n, n) or values.shape[:-1] != attn.shape[:-1]:
-        raise ShapeError("attn must be (..., n, n) matching values/sizes rows")
-    if not np.all(np.abs(attn.sum(axis=-1) - 1.0) <= 1e-6):
-        raise ValueError("attention rows must sum to 1")
-    return attn @ size_boost(values, sizes)
 
 
 def similarity_op_count(n_tokens: int, mode: str, m: int = 1) -> int:

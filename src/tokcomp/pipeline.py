@@ -32,9 +32,8 @@ from .toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig, block_forward,
 SCHEDULE_SCHEMA = 1
 BASELINE_KINDS = ("random2d", "nearest", "bilinear", "drop_all")
 
-# (l0, l_delta) starting points that work well at different LLM depths
-SPU_PRESETS = {"small": (8, 3), "base": (6, 3), "large": (14, 4)}
-DEFAULT_L0, DEFAULT_L_DELTA = SPU_PRESETS["base"]
+# first pruning layer and pruning interval of the default schedule
+DEFAULT_L0, DEFAULT_L_DELTA = 6, 3
 
 
 @dataclass(frozen=True)
@@ -297,12 +296,6 @@ def baseline_compress(grid: TokenGrid, kind: str, target_h: int, target_w: int,
                 + fr * (1 - fc) * grid.data[np.ix_(r1, c0)]
                 + fr * fc * grid.data[np.ix_(r1, c1)])
     return TokenGrid(target_h, target_w, grid.d, data, np.ones((target_h, target_w)))
-
-
-def drop_all_sequence(visual: TokenSequence) -> TokenSequence:
-    """Single-cut elimination of a visual sequence (the drop-all behavior)."""
-    return TokenSequence(0, visual.d, np.zeros((0, visual.d)),
-                         np.zeros(0, dtype=np.int64), visual.orig_len)
 
 
 # ---------------------------------------------------------------------------

@@ -200,21 +200,6 @@ def concat_tokens(a: TokenSequence, b: TokenSequence) -> TokenSequence:
     return TokenSequence(a.n + b.n, a.d, data, positions, a.orig_len + b.orig_len)
 
 
-def split_tokens(seq: TokenSequence, count: int, first_orig_len: int) -> tuple[TokenSequence, TokenSequence]:
-    """Inverse of concat_tokens: first `count` tokens vs the rest.
-
-    ``first_orig_len`` is the original span of the first part, used to
-    un-offset the second part's positions.
-    """
-    if not 0 <= count <= seq.n:
-        raise ShapeError(f"split point {count} outside 0..{seq.n}")
-    a = TokenSequence(count, seq.d, seq.data[:count], seq.positions[:count], first_orig_len)
-    b = TokenSequence(seq.n - count, seq.d, seq.data[count:],
-                      seq.positions[count:] - first_orig_len,
-                      seq.orig_len - first_orig_len)
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # LUVC1 binary grid format and the JSON fixture alternative.
 

@@ -12,19 +12,26 @@ merged-size value boost (see merging.size_boost) plus a two-layer ReLU
 feed-forward, both with residuals.  Position information enters once, as
 additive sinusoidal encodings before layer 0.
 
-Attention normalises after the value product, as FlashAttention does: q
-is scaled by 1/sqrt(dh) before the score matmul (n·d operations instead of
-n² per head), the merged-size boost is added to v once for all heads,
-softmax_rows exponentiates the scores in place and returns the row sums,
-and the n x dh product with v is divided by those sums.  No normalised
-attention matrix is ever formed.  Attention holds one float64 score buffer
-per call, at most max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run
-in groups that fit the budget (one head at a time once 8n² reaches it).
-Outputs are bit-identical to the same arithmetic on all heads at once.
-Against the earlier normalise-then-multiply form (scaled scores, normalised
-rows, then merging.value_enhance) they differ by at most a few 1e-15
-relative per call; whole-run reports, merged sizes and kept sets are
-unchanged.
+Attention folds the softmax shift and the row sums into its two BLAS
+products, as FlashAttention carries the denominator through the value
+product: q is scaled by 1/sqrt(dh), the merged-size boost is added to v once
+for all heads, and each head's q, k and v gain one column, q' = [q, -u],
+k' = [k, 1], v' = [v, 1].  The shift u_i = ||q_i|| * max_j ||k_j|| is at or
+above row i's largest score (Cauchy–Schwarz) and costs n·dh operations, so
+q' @ k'.T is the shifted score block, softmax_rows exponentiates it in place
+(the one numpy pass over the n x n block), and exp(s - u) @ v' yields the
+numerator and the row sum together; the n x dh numerator is divided by the
+sum.  A head whose largest u exceeds SHIFT_MAX takes a zero shift column
+instead, and its scores are shifted by their exact row max in the block
+before the exp, so inputs of any scale cost no more than the unfolded form.
+No normalised attention matrix is ever formed.  Attention holds one float64
+score buffer per call, at most max(SCORE_BLOCK_BYTES, 8n²) bytes for n
+tokens: heads run in groups that fit the budget (one head at a time once 8n²
+reaches it).  Outputs are bit-identical to the same arithmetic on all heads
+at once.  Against the normalise-then-multiply form (scaled scores, shifted
+by the exact row max, normalised rows, then the boosted value product) they
+differ by at most a few 1e-15 relative per call on normal(0, 1) inputs;
+whole-run reports, merged sizes and kept sets are unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -63,6 +70,11 @@ FF_EXPANSION = 2
 
 # Bytes of float64 attention scores held at once; see attention.
 SCORE_BLOCK_BYTES = 8 << 20
+
+# Largest Cauchy–Schwarz shift attention folds into a head's score product;
+# see attention.  A folded row's largest term is then at least
+# exp(-2 * SHIFT_MAX), and its exponents carry rounding of about eps * dh * u.
+SHIFT_MAX = 64.0
 
 # Bytes of generated weights kept for the most recent config; see the module doc.
 WEIGHT_CACHE_BYTES = 16 << 20
@@ -190,50 +202,86 @@ def sinusoidal_positions(positions: np.ndarray, d: int) -> np.ndarray:
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Replace float64 x by exp(x - rowmax) in place; return the row sums.
+    """Exponentiate float64 x in place and return it.
 
-    The sums have shape (..., n, 1) and x / sums is the softmax of the last
-    axis.  Every sum is at least 1, because the row max contributes exp(0).
+    attention writes each score row already shifted to at most 0, by its
+    Cauchy–Schwarz bound u_i >= max_j s_ij or by its exact max, so no term
+    overflows.  This is the one numpy pass over the score block on folded
+    heads: the shift comes out of the score product and the row sums out of
+    the value product.
     """
-    np.subtract(x, x.max(axis=-1, keepdims=True), out=x)
-    np.exp(x, out=x)
-    return x.sum(axis=-1, keepdims=True)
+    return np.exp(x, out=x)
+
+
+def _shift_by_row_max(s: np.ndarray) -> None:
+    """Subtract each row's max from one head's (n, n) scores in place."""
+    s -= s.max(axis=-1, keepdims=True)
+
+
+def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """(n, heads * dh) -> (heads, n, dh) view."""
+    n, d = t.shape
+    return t.reshape(n, heads, d // heads).transpose(1, 0, 2)
 
 
 def attention(x: np.ndarray, lw: LayerWeights, heads: int,
               sizes: np.ndarray | None = None) -> np.ndarray:
     """Multi-head softmax attention; sizes trigger the log-size value boost.
 
-    q = (x @ wq) / sqrt(dh) and v = merging.size_boost(x @ wv, sizes) are
-    formed once for all heads.  Heads then run in groups of
-    g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²)) through one (g, n, n)
-    score buffer: the scores are written into it and exponentiated in place
-    by softmax_rows, and the (g, n, dh) product with v is divided by the row
-    sums.  Score memory peaks at max(SCORE_BLOCK_BYTES, 8n²) bytes.  Each
-    head's arithmetic is that of the all-heads form.
+    q = (x @ wq) / sqrt(dh), k = x @ wk and v = merging.size_boost(x @ wv,
+    sizes) are formed once for all heads, in (heads, n, dh + 1) buffers
+    holding q' = [q, -u], k' = [k, 1] and v' = [v, 1], where
+    u_i = ||q_i|| * max_j ||k_j|| per head is at or above row i's largest
+    score (Cauchy–Schwarz) and costs n·dh operations, not n².  Heads then
+    run in groups of g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²))
+    through one (g, n, n) score buffer: q' @ k'.T writes s - u into it,
+    softmax_rows exponentiates it in place, and r = exp(s - u) @ v' holds
+    the numerator and the row sum together, so the output is
+    r[..., :dh] / r[..., dh:].
+
+    Every row of a folded head has u_i <= SHIFT_MAX, so its largest score is
+    at least -u_i and its largest term at least exp(-2 * SHIFT_MAX): no row
+    underflows.  A head whose largest u exceeds SHIFT_MAX (inputs of large
+    scale, such as raw pixels, where u lies thousands above the row max)
+    gets a zero shift column instead, so q' @ k'.T is its plain scores, and
+    _shift_by_row_max subtracts their exact row max in the block before the
+    exp.  The choice is made per head before the score product, so no score
+    is computed twice and score memory peaks at max(SCORE_BLOCK_BYTES, 8n²)
+    bytes either way.  Each head's arithmetic is that of the all-heads form.
+    Against the form that shifts by the exact row max and normalises the
+    rows before the value product, one call differs by at most a few 1e-15
+    relative, on normal(0, 1) inputs (u below 10) as at u near SHIFT_MAX,
+    and by about 5e-14 on exact-shift heads of uniform(0, 100) tokens,
+    where each form is about 1e-13 from a long-double reference.
     """
     n, d = x.shape
     if n == 0:
         return x.copy()
     dh = d // heads
-    q = x @ lw.wq
-    q /= np.sqrt(dh)
-    k = x @ lw.wk
-    v = x @ lw.wv
+    qkv = np.ones((3, heads, n, dh + 1))
+    qa, ka, va = qkv
+    qa[..., :dh] = _split_heads(x @ lw.wq / np.sqrt(dh), heads)
+    ka[..., :dh] = _split_heads(x @ lw.wk, heads)
+    va[..., :dh] = _split_heads(x @ lw.wv, heads)
     if sizes is not None:
-        v = size_boost(v, sizes)
-    qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
+        va[..., :dh] = size_boost(va[..., :dh], sizes)
+    qq, kk = np.einsum("ahnc,ahnc->ahn", qkv[:2, ..., :dh], qkv[:2, ..., :dh])
+    u = np.sqrt(qq * kk.max(axis=-1, keepdims=True))
+    exact = [h for h, top in enumerate(u.max(axis=-1)) if top > SHIFT_MAX]
+    u[exact] = 0.0
+    qa[..., dh] = -u
     g = max(1, min(heads, SCORE_BLOCK_BYTES // (8 * n * n)))
     scores = np.empty((g, n, n))
     out = np.empty((heads, n, dh))
     for h0 in range(0, heads, g):
         h1 = min(h0 + g, heads)
         s = scores[:h1 - h0]
-        np.matmul(qh[h0:h1], kh[h0:h1].mT, out=s)
-        sums = softmax_rows(s)
-        np.divide(s @ vh[h0:h1], sums, out=out[h0:h1])
+        np.matmul(qa[h0:h1], ka[h0:h1].mT, out=s)
+        for h in exact:
+            if h0 <= h < h1:
+                _shift_by_row_max(s[h - h0])
+        r = softmax_rows(s) @ va[h0:h1]
+        np.divide(r[..., :dh], r[..., dh:], out=out[h0:h1])
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

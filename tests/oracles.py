@@ -53,15 +53,30 @@ def naive_value_enhance(attn, values, sizes):
     return out
 
 
-def naive_plain_attention(attn, values):
-    attn = np.asarray(attn, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n, d = values.shape
-    out = np.zeros((n, d))
-    for i in range(n):
-        for c in range(d):
-            out[i, c] = sum(attn[i, j] * values[j, c] for j in range(n))
-    return out
+def naive_attention(x, wq, wk, wv, wo, heads, sizes):
+    """Multi-head softmax attention with the log-size value boost, head by head.
+
+    Each head's scores are summed by hand, every row is normalised by its
+    exponentials' sum, and the boosted values go through naive_value_enhance.
+    """
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    dh = d // heads
+    q, k, v = x @ wq, x @ wk, x @ wv
+    heads_out = np.zeros((n, d))
+    for h in range(heads):
+        lo, hi = h * dh, (h + 1) * dh
+        attn = np.zeros((n, n))
+        for i in range(n):
+            scores = [sum(q[i, c] * k[j, c] for c in range(lo, hi)) / math.sqrt(dh)
+                      for j in range(n)]
+            top = max(scores)
+            exps = [math.exp(s - top) for s in scores]
+            total = sum(exps)
+            for j in range(n):
+                attn[i, j] = exps[j] / total
+        heads_out[:, lo:hi] = naive_value_enhance(attn, v[:, lo:hi], sizes)
+    return heads_out @ wo
 
 
 def _cosine(u, v):

@@ -8,13 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (brute_grid_merge_width, naive_filter_energies,
-                     naive_value_enhance)
+from oracles import (brute_grid_merge_width, naive_attention,
+                     naive_filter_energies)
 from tokcomp.cli import cli_main
 from tokcomp.errors import ProjectorCompatibilityError, ShapeError
 from tokcomp.images import write_pgm
 from tokcomp.merging import (merge_flat, merge_height, merge_step, merge_width,
-                             similarity_op_count, value_enhance)
+                             similarity_op_count)
 from tokcomp.pipeline import (CompressionSchedule, encoder_forward, llm_forward,
                               make_text_sequence, no_compression_schedule,
                               projector_pixel_shuffle, run_experiment)
@@ -24,7 +24,7 @@ from tokcomp.theory import smoothing_trace
 from tokcomp.tokens import (TokenGrid, TokenSequence, grid_from_sequence,
                             write_luvc1)
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
-                              block_forward, layer_weights,
+                              attention, block_forward, layer_weights,
                               sinusoidal_positions)
 
 
@@ -156,20 +156,20 @@ def test_criterion_3_oim_contract():
 @criterion(4, "value enhancement vs plain attention and oracle")
 def test_criterion_4_value_enhancement():
     rng = np.random.default_rng(4)
-    for _ in range(50):
+    for trial in range(50):
         n = int(rng.integers(1, 12))
-        d = int(rng.integers(1, 6))
-        attn = rng.uniform(0.01, 1.0, size=(n, n))
-        attn /= attn.sum(axis=1, keepdims=True)
-        values = rng.normal(size=(n, d))
+        heads = int(rng.integers(1, 4))
+        d = heads * int(rng.integers(1, 5))
+        lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=trial), STAGE_ENCODER, 0)
+        x = rng.normal(size=(n, d))
 
-        plain = value_enhance(attn, values, np.ones(n))
-        reference = attn @ values
-        assert np.array_equal(plain, reference)  # 0 ulps, same arithmetic path
+        plain = attention(x, lw, heads, np.ones(n))
+        assert np.array_equal(plain, attention(x, lw, heads))  # 0 ulps, same arithmetic path
 
         sizes = rng.integers(1, 9, size=n).astype(float)
-        got = value_enhance(attn, values, sizes)
-        assert np.abs(got - naive_value_enhance(attn, values, sizes)).max() < 1e-12
+        got = attention(x, lw, heads, sizes)
+        want = naive_attention(x, lw.wq, lw.wk, lw.wv, lw.wo, heads, sizes)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 @criterion(5, "similarity-op scaling exponents (1.5 vs 2.0)")

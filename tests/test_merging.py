@@ -3,12 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_grid_merge_width, brute_lane_merge,
-                     naive_plain_attention, naive_value_enhance)
+from oracles import brute_grid_merge_width, brute_lane_merge
 from tokcomp.errors import ShapeError
 from tokcomp.merging import (lane_match_ops, merge_flat, merge_height,
-                             merge_step, merge_width, similarity_op_count,
-                             value_enhance)
+                             merge_step, merge_width, similarity_op_count)
 from tokcomp.tokens import TokenGrid
 
 
@@ -166,51 +164,6 @@ def test_merge_flat_destroys_rectangularity():
     out, sizes = merge_flat(feats, np.ones(16), 3)
     assert out.shape[0] == 13
     assert sizes.sum() == 16
-
-
-# -- value enhancement --------------------------------------------------------
-
-def test_value_enhance_unit_sizes_is_plain_attention():
-    rng = np.random.default_rng(0)
-    attn = rng.uniform(0.1, 1.0, size=(5, 5))
-    attn /= attn.sum(axis=1, keepdims=True)
-    values = rng.normal(size=(5, 3))
-    out = value_enhance(attn, values, np.ones(5))
-    assert np.array_equal(out, attn @ values)  # same arithmetic path, 0 ulps
-
-
-def test_value_enhance_single_token():
-    out = value_enhance(np.array([[1.0]]), np.array([[2.0]]), np.array([np.e]))
-    assert out[0, 0] == pytest.approx(3.0, abs=1e-12)
-
-
-def test_value_enhance_matches_double_loop():
-    rng = np.random.default_rng(8)
-    attn = rng.uniform(0.01, 1.0, size=(7, 7))
-    attn /= attn.sum(axis=1, keepdims=True)
-    values = rng.normal(size=(7, 4))
-    sizes = rng.integers(1, 6, size=7).astype(float)
-    got = value_enhance(attn, values, sizes)
-    assert np.abs(got - naive_value_enhance(attn, values, sizes)).max() < 1e-12
-    plain = value_enhance(attn, values, np.ones(7))
-    assert np.abs(plain - naive_plain_attention(attn, values)).max() < 1e-12
-
-
-def test_value_enhance_rejects_non_stochastic_rows():
-    with pytest.raises(ValueError):
-        value_enhance(np.eye(3) * 2.0, np.ones((3, 2)), np.ones(3))
-
-
-def test_value_enhance_rejects_nan():
-    attn = np.full((3, 3), 1.0 / 3)
-    values = np.ones((3, 2))
-    bad_attn = attn.copy()
-    bad_attn[1, 2] = np.nan
-    with pytest.raises(ValueError, match="sum to 1"):
-        value_enhance(bad_attn, values, np.ones(3))
-    with pytest.raises(ValueError, match="sizes"):
-        value_enhance(attn, values, np.array([1.0, np.nan, 2.0]))
-
 
 
 # -- similarity op counts -----------------------------------------------------

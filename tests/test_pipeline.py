@@ -10,8 +10,7 @@ from tokcomp.errors import (ProjectorCompatibilityError, ScheduleError,
 from tokcomp.merging import merge_flat
 from tokcomp.metrics import pipeline_flops, reduction_ratio
 from tokcomp.pipeline import (CompressionSchedule, baseline_compress,
-                              default_keep_ladder, drop_all_sequence,
-                              encoder_forward, llm_forward,
+                              default_keep_ladder, encoder_forward, llm_forward,
                               no_compression_schedule, projector_pixel_shuffle,
                               run_experiment, schedule_from_doc,
                               schedule_to_doc)
@@ -197,11 +196,6 @@ def test_llm_without_spu_matches_reference_bit_exactly():
         x = block_forward(x, layer_weights(cfg, STAGE_LLM, layer), 2)
     assert np.array_equal(hidden.data, x)
     assert [e.visual for e in trace] == [10] * 5
-
-
-def test_drop_all_sequence():
-    out = drop_all_sequence(rand_seq(0, 12, 4))
-    assert out.n == 0 and out.orig_len == 12
 
 
 # -- baselines ----------------------------------------------------------------

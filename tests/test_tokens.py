@@ -7,8 +7,7 @@ from tokcomp.errors import FormatError, ShapeError
 from tokcomp.tokens import (ComplexSequence, TokenGrid, TokenSequence,
                             concat_tokens, grid_from_sequence, load_grid,
                             parse_luvc1, read_grid_json, read_luvc1,
-                            sequence_from_grid, split_tokens, write_grid_json,
-                            write_luvc1)
+                            sequence_from_grid, write_grid_json, write_luvc1)
 
 
 def seq_of(values, d=1):
@@ -60,18 +59,6 @@ def test_concat_offsets_past_original_length():
     c = concat_tokens(a, b)
     assert c.positions.tolist() == [0, 3, 8, 9]
     assert c.orig_len == 10
-
-
-def test_concat_split_round_trip():
-    rng = np.random.default_rng(0)
-    a = TokenSequence(3, 2, rng.normal(size=(3, 2)), np.array([1, 4, 6]), 7)
-    b = TokenSequence(2, 2, rng.normal(size=(2, 2)), np.array([0, 2]), 5)
-    c = concat_tokens(a, b)
-    a2, b2 = split_tokens(c, a.n, a.orig_len)
-    assert np.array_equal(a2.data, a.data) and np.array_equal(b2.data, b.data)
-    assert a2.positions.tolist() == a.positions.tolist()
-    assert b2.positions.tolist() == b.positions.tolist()
-    assert (a2.orig_len, b2.orig_len) == (a.orig_len, b.orig_len)
 
 
 @settings(max_examples=60, deadline=None)

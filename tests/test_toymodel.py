@@ -6,7 +6,7 @@ import pytest
 
 from tokcomp import toymodel
 from tokcomp.errors import ShapeError
-from tokcomp.merging import size_boost, value_enhance
+from tokcomp.merging import size_boost
 from tokcomp.pipeline import CompressionSchedule, run_experiment
 from tokcomp.tokens import TokenGrid
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
@@ -59,13 +59,10 @@ def test_config_refuses_seeds_outside_64_bits():
 
 def test_softmax_rows_are_stochastic():
     x = np.random.default_rng(0).normal(size=(4, 6, 6))
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    sums = softmax_rows(x)
-    assert np.array_equal(x, e)  # exponentiated in place
-    assert sums.shape == (4, 6, 1)
-    assert np.array_equal(sums, e.sum(axis=-1, keepdims=True))
-    assert np.all(sums >= 1.0)  # the row max contributes exp(0)
-    assert np.allclose((x / sums).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    e = np.exp(x)
+    assert softmax_rows(x) is x  # exponentiated in place
+    assert np.array_equal(x, e)
+    assert np.allclose((x / x.sum(axis=-1, keepdims=True)).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_sinusoidal_positions_shape_and_range():
@@ -117,20 +114,28 @@ def test_unit_sizes_take_the_plain_path():
 
 
 def batched_attention(x, lw, heads, sizes=None):
-    """All heads in one score tensor, with a copying softmax normalised after v."""
+    """All heads in one score tensor, the shift and the row sums folded into the products."""
     n, d = x.shape
     dh = d // heads
     q = (x @ lw.wq) / np.sqrt(dh)
     v = x @ lw.wv if sizes is None else size_boost(x @ lw.wv, sizes)
-    qh, kh, vh = (a.reshape(n, heads, dh).transpose(1, 0, 2) for a in (q, x @ lw.wk, v))
-    scores = qh @ kh.transpose(0, 2, 1)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    out = (e @ vh) / e.sum(axis=-1, keepdims=True)
+    qkv = np.ones((3, heads, n, dh + 1))
+    for a, t in zip(qkv, (q, x @ lw.wk, v)):
+        a[..., :dh] = t.reshape(n, heads, dh).transpose(1, 0, 2)
+    qq, kk = np.einsum("ahnc,ahnc->ahn", qkv[:2, ..., :dh], qkv[:2, ..., :dh])
+    u = np.sqrt(qq * kk.max(axis=-1, keepdims=True))
+    exact = u.max(axis=-1) > toymodel.SHIFT_MAX
+    u[exact] = 0.0
+    qkv[0, ..., dh] = -u
+    s = qkv[0] @ qkv[1].mT
+    s[exact] -= s[exact].max(axis=-1, keepdims=True)
+    r = np.exp(s) @ qkv[2]
+    out = r[..., :dh] / r[..., dh:]
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 
 def previous_attention(x, lw, heads, sizes=None):
-    """The normalise-then-multiply form: scale the scores, softmax, value_enhance."""
+    """The normalise-then-multiply form: scale the scores, softmax, boost v."""
     n, d = x.shape
     dh = d // heads
     qh, kh, vh = ((x @ w).reshape(n, heads, dh).transpose(1, 0, 2)
@@ -139,8 +144,8 @@ def previous_attention(x, lw, heads, sizes=None):
     for h in range(heads):
         scores = qh[h] @ kh[h].T / np.sqrt(dh)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out[h] = value_enhance(e / e.sum(axis=-1, keepdims=True), vh[h],
-                               np.ones(n) if sizes is None else sizes)
+        attn = e / e.sum(axis=-1, keepdims=True)
+        out[h] = attn @ size_boost(vh[h], np.ones(n) if sizes is None else sizes)
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 
@@ -156,14 +161,77 @@ def test_attention_stays_near_the_previous_formula(d, heads):
             assert diff <= 1e-13 * np.abs(want).max(), (n, sizes is None, diff)
 
 
+@pytest.fixture
+def exact_shifts(monkeypatch):
+    """Heads shifted by their exact row max, counted."""
+    calls = []
+    real = toymodel._shift_by_row_max
+
+    def counting(s):
+        calls.append(s.shape)
+        return real(s)
+
+    monkeypatch.setattr(toymodel, "_shift_by_row_max", counting)
+    return calls
+
+
+@pytest.mark.parametrize("d,heads", [(8, 2), (32, 4), (64, 8)])
+def test_underflowing_rows_take_the_exact_max(exact_shifts, d, heads):
+    # uniform(0, 100) tokens put the Cauchy–Schwarz shift thousands above
+    # the row max, where every folded term of a row would underflow
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
+    rng = np.random.default_rng(d * heads)
+    for n in (1, 5, 31, 257):
+        x = rng.uniform(0, 100, size=(n, d))
+        for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
+            exact_shifts.clear()
+            want = previous_attention(x, lw, heads, sizes)
+            diff = np.abs(attention(x, lw, heads, sizes) - want).max()
+            assert diff <= 1e-13 * np.abs(want).max(), (n, sizes is None, diff)
+            assert exact_shifts, n
+
+
+def largest_shift(x, lw, heads):
+    n, d = x.shape
+    dh = d // heads
+    q = (x @ lw.wq / np.sqrt(dh)).reshape(n, heads, dh)
+    k = (x @ lw.wk).reshape(n, heads, dh)
+    return (np.linalg.norm(q, axis=-1).max(axis=0) * np.linalg.norm(k, axis=-1).max(axis=0)).max()
+
+
+@pytest.mark.parametrize("d,heads", [(8, 2), (32, 4), (64, 8)])
+def test_shifts_near_the_limit_stay_folded_and_accurate(exact_shifts, d, heads):
+    # the largest folded shift leaves rows up to 2 * SHIFT_MAX below it
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
+    rng = np.random.default_rng(d + heads)
+    for n in (31, 257, 1024):
+        x = rng.normal(size=(n, d))
+        for share, folded in ((0.99, True), (1.01, False)):
+            xs = x * np.sqrt(share * toymodel.SHIFT_MAX / largest_shift(x, lw, heads))
+            exact_shifts.clear()
+            want = previous_attention(xs, lw, heads)
+            diff = np.abs(attention(xs, lw, heads) - want).max()
+            assert diff <= 1e-13 * np.abs(want).max(), (n, share, diff)
+            assert (exact_shifts == []) == folded, (n, share)
+
+
+def test_pipeline_runs_stay_on_the_folded_path(exact_shifts):
+    sched = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)), m=2,
+                                llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+    for side, d, text_len in ((16, 32, 8), (32, 64, 16)):
+        for seed in range(3):
+            grid = TokenGrid.from_data(np.random.default_rng(seed).normal(size=(side, side, d)))
+            run_experiment(grid, None, ToyModelConfig(d=d, heads=4, seed=seed, text_len=text_len),
+                           sched)
+    assert exact_shifts == []
+
+
 @pytest.mark.parametrize("sized", [False, True])
 def test_attention_is_bit_identical_for_every_head_group(monkeypatch, sized):
     heads, d, n = 4, 32, 20
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
     rng = np.random.default_rng(5)
-    x = rng.normal(size=(n, d))
     sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
-    want = batched_attention(x, lw, heads, sizes)
     groups = []
     real_softmax = toymodel.softmax_rows
 
@@ -172,26 +240,31 @@ def test_attention_is_bit_identical_for_every_head_group(monkeypatch, sized):
         return real_softmax(s)
 
     monkeypatch.setattr(toymodel, "softmax_rows", counting_softmax)
-    for g, expect in ((1, [1, 1, 1, 1]), (2, [2, 2]), (3, [3, 1]), (4, [4])):
-        monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", g * 8 * n * n)
-        groups.clear()
-        assert np.array_equal(attention(x, lw, heads, sizes), want), g
-        assert groups == expect
-    monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", 0)  # never fewer than one head
-    assert np.array_equal(attention(x, lw, heads, sizes), want)
+    # folded heads, then heads shifted by their exact row max
+    for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+        want = batched_attention(x, lw, heads, sizes)
+        for g, expect in ((1, [1, 1, 1, 1]), (2, [2, 2]), (3, [3, 1]), (4, [4])):
+            monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", g * 8 * n * n)
+            groups.clear()
+            assert np.array_equal(attention(x, lw, heads, sizes), want), g
+            assert groups == expect
+        monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", 0)  # never fewer than one head
+        assert np.array_equal(attention(x, lw, heads, sizes), want)
 
 
 def test_attention_holds_one_score_block():
     n, d, heads = 1024, 64, 4
     lw = layer_weights(ToyModelConfig(d=d, heads=heads), STAGE_ENCODER, 0)
-    x = np.random.default_rng(0).normal(size=(n, d))
-    tracemalloc.start()
-    try:
-        attention(x, lw, heads)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * n * n, peak
+    rng = np.random.default_rng(0)
+    # folded heads, then heads shifted by their exact row max
+    for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+        tracemalloc.start()
+        try:
+            attention(x, lw, heads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n * n, peak
 
 
 def test_attention_refuses_bad_sizes():
