@@ -15,9 +15,9 @@ from .pipeline import (BASELINE_KINDS, CompressionSchedule, baseline_compress,
                        default_keep_ladder, encoder_forward, llm_forward,
                        no_compression_schedule, projector_pixel_shuffle,
                        run_experiment)
-from .spectral import (EnergyRanking, SpectrumFilter, apply_filter,
-                       cutoff_from_ratio, dft_forward, dft_inverse, make_filter,
-                       spectral_prune, token_energy)
+from .spectral import (EnergyRanking, apply_filter, cutoff_from_ratio,
+                       dft_forward, dft_inverse, make_filter, spectral_prune,
+                       token_energy)
 from .theory import SmoothingTrace, dc_component, hc_component, smoothing_trace
 from .tokens import (ComplexSequence, TokenGrid, TokenSequence, concat_tokens,
                      grid_from_sequence, load_grid, read_luvc1, sequence_from_grid,

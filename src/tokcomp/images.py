@@ -8,13 +8,11 @@ binary PGM (P5, maxval 255).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import FormatError, ShapeError
 from .spectral import EnergyRanking
-from .tokens import TokenGrid, _frozen, overwrite_file
+from .tokens import TokenGrid, overwrite_file
 
 _WS = b" \t\r\n\x0b\x0c"
 FEATURE_MODES = ("raw", "dct")
@@ -165,22 +163,6 @@ def featurize_image(image: np.ndarray, patch: int, mode: str = "raw") -> TokenGr
 # ---------------------------------------------------------------------------
 # Heatmaps.
 
-@dataclass(frozen=True)
-class Heatmap:
-    h: int
-    w: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64).reshape(self.h, self.w)
-        if values.size and (values.min() < 0 or values.max() > 1):
-            raise ValueError("heatmap values must be normalized to [0, 1]")
-        object.__setattr__(self, "values", _frozen(values, self.values))
-
-    def pixels(self) -> np.ndarray:
-        return np.rint(self.values * 255).astype(np.uint8)
-
-
 def normalize_heat(values: np.ndarray) -> np.ndarray:
     """Min-max to [0, 1]; a constant field maps to all 0.5."""
     values = np.asarray(values, dtype=np.float64)
@@ -191,16 +173,17 @@ def normalize_heat(values: np.ndarray) -> np.ndarray:
 
 
 def emit_energy_heatmap(h: int, w: int, ranking: EnergyRanking, path,
-                        mask_path=None) -> Heatmap:
-    """Write per-token energies as a PGM; optionally a kept-token mask too."""
+                        mask_path=None) -> np.ndarray:
+    """Write per-token energies as a PGM, optionally a kept-token mask too;
+    return the (h, w) uint8 heatmap pixels written."""
     if h < 1 or w < 1:
         raise ShapeError("heatmap needs at least one token")
     if ranking.energies.size != h * w:
         raise ShapeError(f"{ranking.energies.size} energies do not tile {h}x{w}")
-    heat = Heatmap(h, w, normalize_heat(ranking.energies.reshape(h, w)))
-    write_pgm(path, heat.pixels())
+    pixels = np.rint(normalize_heat(ranking.energies.reshape(h, w)) * 255).astype(np.uint8)
+    write_pgm(path, pixels)
     if mask_path is not None:
         mask = np.zeros(h * w, dtype=np.uint8)
         mask[ranking.kept] = 255
         write_pgm(mask_path, mask.reshape(h, w))
-    return heat
+    return pixels

@@ -10,7 +10,7 @@ compression.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from operator import index
 
 import numpy as np
@@ -32,6 +32,10 @@ class LayerCount:
     base_visual: int
 
     def __post_init__(self):
+        if self.stage not in ("encoder", "llm"):
+            raise ValueError(f"unknown stage {self.stage!r}")
+        for name in ("layer", "visual", "text", "base_visual"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if min(self.layer, self.visual, self.text, self.base_visual) < 0:
             raise ValueError("layer counts must be non-negative")
 
@@ -104,6 +108,8 @@ class CompressionReport:
     timings_ms: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("flops_base", "flops_compressed", "similarity_ops"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if not abs(self.retention_ratio + self.pruning_ratio - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("retention and pruning ratios must sum to 1")
         if self.flops_compressed > self.flops_base:
@@ -111,20 +117,7 @@ class CompressionReport:
         object.__setattr__(self, "per_layer_counts", tuple(self.per_layer_counts))
 
     def to_doc(self) -> dict:
-        return {
-            "schema": REPORT_SCHEMA,
-            "per_layer_counts": [
-                {"stage": e.stage, "layer": e.layer, "visual": e.visual,
-                 "text": e.text, "base_visual": e.base_visual}
-                for e in self.per_layer_counts
-            ],
-            "flops_base": self.flops_base,
-            "flops_compressed": self.flops_compressed,
-            "retention_ratio": self.retention_ratio,
-            "pruning_ratio": self.pruning_ratio,
-            "similarity_ops": self.similarity_ops,
-            "timings_ms": dict(self.timings_ms),
-        }
+        return {"schema": REPORT_SCHEMA, **asdict(self)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CompressionReport":
@@ -132,13 +125,12 @@ class CompressionReport:
             raise FormatError("report JSON: missing schema marker")
         try:
             counts = tuple(
-                LayerCount(e["stage"], index(e["layer"]), index(e["visual"]),
-                           index(e["text"]), index(e["base_visual"]))
+                LayerCount(e["stage"], e["layer"], e["visual"], e["text"], e["base_visual"])
                 for e in doc["per_layer_counts"]
             )
-            return cls(counts, index(doc["flops_base"]), index(doc["flops_compressed"]),
+            return cls(counts, doc["flops_base"], doc["flops_compressed"],
                        float(doc["retention_ratio"]), float(doc["pruning_ratio"]),
-                       index(doc["similarity_ops"]), dict(doc.get("timings_ms", {})))
+                       doc["similarity_ops"], dict(doc.get("timings_ms", {})))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"report JSON: {e}") from e
 

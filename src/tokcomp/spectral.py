@@ -18,6 +18,9 @@ DC weight 1), which keeps real inputs real after inverse transform.
 
 Transforms are `np.fft.fft` / `np.fft.ifft` along the token axis, which
 handle any token count (counts after merging are rarely powers of two).
+A spectrum is a ``ComplexSequence``, one read-only (n, d) complex128 array;
+a mask is a read-only (n,) coefficient array, and `apply_filter` is the one
+place that checks a mask's length and its [0, 1] range.
 Correctness is pinned to a direct-summation oracle in the test suite, not to
 the fast path.
 """
@@ -39,38 +42,23 @@ def dft_forward(seq: TokenSequence) -> ComplexSequence:
     """X[k] = sum_n x[n] exp(-2i*pi*k*n/N) per channel, along the token axis."""
     if seq.n < 1:
         raise ShapeError("dft_forward needs at least one token")
-    return ComplexSequence.from_complex(np.fft.fft(seq.data, axis=0))
+    return ComplexSequence(seq.n, seq.d, np.fft.fft(seq.data, axis=0))
 
 
 def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
     """x[n] = (1/N) sum_k X[k] exp(+2i*pi*k*n/N); stays complex on purpose.
 
     After an asymmetric mask the time-domain signal has a genuine imaginary
-    part, which the energy scoring keeps.
+    part, which the energy scoring keeps.  A zero-bin spectrum is its own
+    inverse.
     """
     if freq.n == 0:
-        return ComplexSequence.from_complex(np.zeros((0, freq.d), dtype=np.complex128))
-    return ComplexSequence.from_complex(np.fft.ifft(freq.as_complex(), axis=0))
+        return freq
+    return ComplexSequence(freq.n, freq.d, np.fft.ifft(freq.data, axis=0))
 
 
-@dataclass(frozen=True)
-class SpectrumFilter:
-    """Length-n low-pass mask with Hamming taper up to cutoff bin sigma_t."""
-
-    n: int
-    sigma_t: int
-    mode: str
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(self.n)
-        if np.any(coeffs < 0) or np.any(coeffs > 1):
-            raise ValueError("filter coefficients must lie in [0, 1]")
-        object.__setattr__(self, "coeffs", _frozen(coeffs, self.coeffs))
-
-
-def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> SpectrumFilter:
-    """Build the low-pass mask.
+def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> np.ndarray:
+    """The read-only (n,) low-pass mask, Hamming-tapered up to bin sigma_t.
 
     as-written: coeffs[k] = 0.54 - 0.46*cos(2*pi*k/(n-1)) for k <= sigma_t,
     zero above.  symmetric: a half-Hamming taper (1 at DC, 0.08 at the
@@ -95,20 +83,25 @@ def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> SpectrumFilte
             ks = np.arange(sigma_t + 1)
             low[: sigma_t + 1] = 0.54 + 0.46 * np.cos(np.pi * ks / sigma_t)
         coeffs = np.maximum(low, low[(n - k) % n])
-    return SpectrumFilter(n, sigma_t, mode, coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def apply_filter(freq: ComplexSequence, filt: SpectrumFilter) -> ComplexSequence:
-    """Bin-wise real scaling of the spectrum across all channels."""
-    if freq.n != filt.n:
-        raise ShapeError(f"spectrum has {freq.n} bins, filter {filt.n}")
-    c = filt.coeffs[:, None]
-    return ComplexSequence(freq.n, freq.d, freq.re * c, freq.im * c)
+def apply_filter(freq: ComplexSequence, coeffs: np.ndarray) -> ComplexSequence:
+    """Bin-wise real scaling of the spectrum across all channels by (n,)
+    coefficients in [0, 1]."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape != (freq.n,):
+        raise ShapeError(f"spectrum has {freq.n} bins, filter shape {coeffs.shape}")
+    if not np.all((coeffs >= 0) & (coeffs <= 1)):  # NaN fails
+        raise ValueError("filter coefficients must lie in [0, 1]")
+    return ComplexSequence(freq.n, freq.d, freq.data * coeffs[:, None])
 
 
 def token_energy(filtered: ComplexSequence) -> np.ndarray:
     """Per-token L2 norm over channels of the complex filtered signal."""
-    return np.sqrt(np.sum(filtered.re ** 2 + filtered.im ** 2, axis=1))
+    z = filtered.data
+    return np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1))
 
 
 def cutoff_from_ratio(n: int, sigma_ratio: float) -> int:
@@ -159,10 +152,8 @@ def spectral_prune(seq: TokenSequence, sigma_ratio: float, keep: int,
     if seq.n == 0:
         empty = np.zeros(0)
         return seq, EnergyRanking(empty, empty.astype(np.int64))
-    freq = dft_forward(seq)
-    filt = make_filter(seq.n, cutoff_from_ratio(seq.n, sigma_ratio), mode)
-    filtered = dft_inverse(apply_filter(freq, filt))
-    energies = token_energy(filtered)
+    coeffs = make_filter(seq.n, cutoff_from_ratio(seq.n, sigma_ratio), mode)
+    energies = token_energy(dft_inverse(apply_filter(dft_forward(seq), coeffs)))
     kept = topk_ascending(energies, keep)
     pruned = TokenSequence(keep, seq.d, seq.data[kept], seq.positions[kept], seq.orig_len)
     return pruned, EnergyRanking(energies, kept)

@@ -7,11 +7,12 @@ Three value types:
                        image patch order.
 * ``TokenSequence`` -- flat token list (n, d) with original-position
                        provenance.
-* ``ComplexSequence`` -- frequency-domain twin of TokenSequence (re/im parts).
+* ``ComplexSequence`` -- frequency-domain twin of TokenSequence: one (n, d)
+                         complex128 array.
 
 Containers are immutable after construction (arrays are copied in and marked
-read-only) and hold finite values only; every operation here is a pure
-function returning a new value.
+read-only), and the token containers hold finite values only; every
+operation here is a pure function returning a new value.
 
 Serialization: the LUVC1 binary grid format and a JSON alternative for tiny
 fixtures.  Byte layouts are documented in docs/formats.md.
@@ -153,28 +154,20 @@ class TokenSequence:
 
 @dataclass(frozen=True)
 class ComplexSequence:
-    """n frequency bins by d channels, split into real and imaginary parts."""
+    """n frequency bins by d channels as one complex128 array."""
 
     n: int
     d: int
-    re: np.ndarray = field(repr=False)
-    im: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=np.float64).reshape(self.n, self.d)
-        im = np.asarray(self.im, dtype=np.float64).reshape(self.n, self.d)
-        object.__setattr__(self, "re", _frozen(re, self.re))
-        object.__setattr__(self, "im", _frozen(im, self.im))
-
-    @classmethod
-    def from_complex(cls, z: np.ndarray) -> "ComplexSequence":
-        z = np.asarray(z, dtype=np.complex128)
-        if z.ndim != 2:
-            raise ShapeError(f"complex data must be (n, d), got shape {z.shape}")
-        return cls(z.shape[0], z.shape[1], z.real, z.imag)
-
-    def as_complex(self) -> np.ndarray:
-        return self.re + 1j * self.im
+        if self.n < 0 or self.d < 1:
+            raise ShapeError(f"bad spectrum dims n={self.n} d={self.d}")
+        try:
+            data = np.asarray(self.data, dtype=np.complex128).reshape(self.n, self.d)
+        except ValueError as e:
+            raise ShapeError(f"complex data does not fit n={self.n} d={self.d}: {e}") from e
+        object.__setattr__(self, "data", _frozen(data, self.data))
 
 
 def grid_from_sequence(seq: TokenSequence, h: int, w: int) -> TokenGrid:

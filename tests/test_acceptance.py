@@ -56,7 +56,7 @@ def test_criterion_1_spectral_correctness():
         x = rng.normal(size=(n, d))
         seq = TokenSequence.from_data(x)
         freq = dft_forward(seq)
-        fast = freq.as_complex()
+        fast = freq.data
         k = np.arange(n)
         direct = np.exp(-2j * np.pi * np.outer(k, k) / n) @ x.astype(complex)
         scale = max(1.0, float(np.abs(direct).max()))
@@ -65,11 +65,11 @@ def test_criterion_1_spectral_correctness():
         back = dft_inverse(freq)
         xscale = max(1.0, float(np.abs(x).max()))
         worst_rt = max(worst_rt,
-                       float(np.abs(back.re - x).max()) / xscale,
-                       float(np.abs(back.im).max()) / xscale)
+                       float(np.abs(back.data.real - x).max()) / xscale,
+                       float(np.abs(back.data.imag).max()) / xscale)
 
         sig = float(np.sum(x ** 2))
-        spec = float(np.sum(freq.re ** 2 + freq.im ** 2)) / n
+        spec = float(np.sum(freq.data.real ** 2 + freq.data.imag ** 2)) / n
         worst_parseval = max(worst_parseval, abs(sig - spec) / max(1.0, sig))
     elapsed = time.perf_counter() - start
     assert worst_fwd < 1e-9, worst_fwd
@@ -110,7 +110,7 @@ def test_criterion_2_spu_contract():
     _, ranking = spectral_prune(seq, 0.25, 8, "symmetric")
     assert ranking.kept.tolist() == list(range(8))
     filt = make_filter(16, cutoff_from_ratio(16, 0.25), "symmetric")
-    oracle = naive_filter_energies(seq.data, filt.coeffs)
+    oracle = naive_filter_energies(seq.data, filt)
     assert oracle[:8].min() > oracle[8:].max()
     assert np.abs(oracle - ranking.energies).max() < 1e-9
 

@@ -130,6 +130,44 @@ def test_simulate_schedule_overrides(tmp_path):
     assert llm[-1] == 0
 
 
+@pytest.mark.parametrize("feat", ["raw", "dct"])
+def test_simulate_on_an_image(tmp_path, monkeypatch, feat):
+    # image tokens enter the blocks unnormalised (8x8 patches of 0..255
+    # pixels), so attention on them takes the exact row-max shift
+    from tokcomp import toymodel
+    calls = []
+    real = toymodel._shift_by_row_max
+
+    def counting(s):
+        calls.append(s.shape)
+        return real(s)
+
+    monkeypatch.setattr(toymodel, "_shift_by_row_max", counting)
+    img = np.random.default_rng(6).integers(0, 256, size=(64, 64)).astype(np.uint8)
+    ipath = tmp_path / "img.pgm"
+    write_pgm(ipath, img)
+    cfg = ToyModelConfig(d=64, heads=4, seed=2, text_len=4)
+    sched = CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=1,
+                                llm_layers=4, l0=1, l_delta=1)
+    spath = tmp_path / "sched.json"
+    spath.write_text(json.dumps(schedule_to_doc(cfg, sched)))
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["simulate", ipath, "--patch", 8, "--feat", feat,
+                    "--schedule", spath, "--out", out]) == 0
+    docs = [json.loads(out.read_text()) for out in outs]
+    for doc in docs:
+        del doc["timings_ms"]  # wall times: the only field that may differ
+    assert json.dumps(docs[0]) == json.dumps(docs[1])
+    report = CompressionReport.load(outs[0])
+    counts = [(e.stage, e.visual) for e in report.per_layer_counts]
+    assert counts[:2] == [("encoder", 64), ("encoder", 56)]
+    assert [v for stage, v in counts if stage == "llm"][-1] == 0
+    assert 0 < report.flops_compressed < report.flops_base
+    assert np.isfinite([report.retention_ratio, report.pruning_ratio]).all()
+    assert calls
+
+
 def test_baseline_subcommand(grid_file, tmp_path, capsys):
     out = tmp_path / "base.luvc"
     code = run(["baseline", grid_file, "--kind", "random2d",

@@ -3,9 +3,9 @@ import pytest
 
 from oracles import naive_dct2
 from tokcomp.errors import FormatError, ShapeError
-from tokcomp.images import (FEATURE_MODES, Heatmap, emit_energy_heatmap,
-                            featurize_image, normalize_heat, parse_image,
-                            read_image, write_pgm, zigzag_indices)
+from tokcomp.images import (FEATURE_MODES, emit_energy_heatmap, featurize_image,
+                            normalize_heat, parse_image, read_image, write_pgm,
+                            zigzag_indices)
 from tokcomp.spectral import EnergyRanking
 
 
@@ -134,17 +134,11 @@ def test_normalize_minmax():
     assert out.tolist() == [[0, 1], [1, 0]]
 
 
-def test_heatmap_rejects_unnormalized_values():
-    with pytest.raises(ValueError):
-        Heatmap(1, 2, np.array([[0.5, 1.5]]))
-
-
 def test_emit_uniform_heatmap(tmp_path):
     ranking = EnergyRanking(np.full(4, 3.3), np.array([0, 1]))
     heat = emit_energy_heatmap(2, 2, ranking, tmp_path / "h.pgm")
-    pixels = read_image(tmp_path / "h.pgm")
-    assert np.all((pixels == 127) | (pixels == 128))
-    assert np.all(heat.values == 0.5)
+    assert np.array_equal(read_image(tmp_path / "h.pgm"), heat)
+    assert heat.dtype == np.uint8 and np.all(heat == 128)  # rint(0.5 * 255)
 
 
 def test_emit_minmax_heatmap_and_mask(tmp_path):
@@ -159,9 +153,10 @@ def test_heatmap_round_trips_normalized_values(tmp_path):
     energies = rng.uniform(0, 10, size=12)
     ranking = EnergyRanking(energies, np.arange(6))
     heat = emit_energy_heatmap(3, 4, ranking, tmp_path / "h.pgm")
-    pixels = read_image(tmp_path / "h.pgm")
-    assert np.array_equal(pixels, heat.pixels())
-    assert np.abs(pixels / 255 - heat.values).max() <= 0.5 / 255 + 1e-12
+    assert heat.shape == (3, 4) and heat.dtype == np.uint8
+    assert np.array_equal(read_image(tmp_path / "h.pgm"), heat)
+    values = normalize_heat(energies.reshape(3, 4))
+    assert np.abs(heat / 255 - values).max() <= 0.5 / 255 + 1e-12
 
 
 def test_heatmap_size_mismatch(tmp_path):

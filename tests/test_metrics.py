@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tokcomp.errors import FormatError
@@ -70,6 +71,28 @@ def test_reduction_mixed_stage_trace():
 def test_counts_must_be_non_negative():
     with pytest.raises(ValueError):
         LayerCount("llm", 0, -1, 0, 4)
+
+
+def test_counts_and_stages_are_checked_where_they_are_built():
+    # a report the library builds is one it can load back: fractional counts
+    # and unknown stages are refused by the types, not only by from_doc
+    with pytest.raises(TypeError):
+        LayerCount("llm", 0, 2.5, 0, 4)
+    with pytest.raises(ValueError):
+        LayerCount("bogus", 0, 1, 0, 4)
+    trace = (LayerCount("llm", 0, 4, 0, 4),)
+    for key in ("flops_base", "flops_compressed", "similarity_ops"):
+        args = dict(flops_base=10, flops_compressed=5, similarity_ops=0)
+        args[key] = 1.5
+        with pytest.raises(TypeError):
+            CompressionReport(trace, args["flops_base"], args["flops_compressed"],
+                              1.0, 0.0, args["similarity_ops"])
+    # integer-likes are coerced to int, so the report serializes
+    e = LayerCount("encoder", np.int64(1), np.int32(3), 0, np.uint8(4))
+    assert (e.layer, e.visual, e.base_visual) == (1, 3, 4)
+    assert all(type(v) is int for v in (e.layer, e.visual, e.text, e.base_visual))
+    report = CompressionReport((e,), np.int64(8), np.int64(4), 0.75, 0.25, np.int64(2))
+    assert CompressionReport.from_doc(json.loads(json.dumps(report.to_doc()))) == report
 
 
 def report_fixture():

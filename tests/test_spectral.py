@@ -8,7 +8,7 @@ from tokcomp.errors import ShapeError
 from tokcomp.spectral import (EnergyRanking, apply_filter, cutoff_from_ratio,
                               dft_forward, dft_inverse, make_filter,
                               spectral_prune, token_energy, topk_ascending)
-from tokcomp.tokens import TokenSequence
+from tokcomp.tokens import ComplexSequence, TokenSequence
 
 
 def seq_of(data):
@@ -26,25 +26,25 @@ def rand_seq(seed, n, d):
 
 def test_constant_signal_is_pure_dc():
     f = dft_forward(seq_of([1, 1, 1, 1]))
-    assert np.allclose(f.re[:, 0], [4, 0, 0, 0], atol=1e-12)
-    assert np.allclose(f.im, 0, atol=1e-12)
+    assert np.allclose(f.data.real[:, 0], [4, 0, 0, 0], atol=1e-12)
+    assert np.allclose(f.data.imag, 0, atol=1e-12)
 
 
 def test_delta_has_flat_spectrum():
     f = dft_forward(seq_of([1, 0, 0, 0]))
-    assert np.allclose(f.re[:, 0], [1, 1, 1, 1], atol=1e-12)
+    assert np.allclose(f.data.real[:, 0], [1, 1, 1, 1], atol=1e-12)
 
 
 def test_pure_dc_inverts_to_constant():
     x = dft_inverse(dft_forward(seq_of([1, 1, 1, 1])))
-    assert np.allclose(x.re[:, 0], 1.0, atol=1e-12)
-    assert np.abs(x.im).max() < 1e-12
+    assert np.allclose(x.data.real[:, 0], 1.0, atol=1e-12)
+    assert np.abs(x.data.imag).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 37, 64, 97, 128, 360])
 def test_dft_matches_direct_summation(n):
     data = np.random.default_rng(n).normal(size=(n, 5))
-    fast = dft_forward(TokenSequence.from_data(data)).as_complex()
+    fast = dft_forward(TokenSequence.from_data(data)).data
     direct = direct_dft(data)
     scale = max(1.0, np.abs(direct).max())
     assert np.abs(fast - direct).max() / scale < 1e-9
@@ -52,8 +52,7 @@ def test_dft_matches_direct_summation(n):
 
 def test_inverse_matches_direct():
     data = np.random.default_rng(9).normal(size=(41, 3)) + 1j * np.random.default_rng(10).normal(size=(41, 3))
-    from tokcomp.tokens import ComplexSequence
-    fast = dft_inverse(ComplexSequence.from_complex(data)).as_complex()
+    fast = dft_inverse(ComplexSequence(41, 3, data)).data
     direct = direct_idft(data)
     assert np.abs(fast - direct).max() < 1e-9
 
@@ -66,27 +65,27 @@ def test_round_trip_and_parseval(n, d, seed):
     freq = dft_forward(seq)
     back = dft_inverse(freq)
     scale = max(1.0, np.abs(data).max())
-    assert np.abs(back.re - data).max() / scale < 1e-9
-    assert np.abs(back.im).max() / scale < 1e-9
+    assert np.abs(back.data.real - data).max() / scale < 1e-9
+    assert np.abs(back.data.imag).max() / scale < 1e-9
     sig_energy = np.sum(data ** 2)
-    bin_energy = np.sum(freq.re ** 2 + freq.im ** 2) / n
+    bin_energy = np.sum(freq.data.real ** 2 + freq.data.imag ** 2) / n
     assert abs(sig_energy - bin_energy) / max(1.0, sig_energy) < 1e-9
 
 
 # -- filters ------------------------------------------------------------------
 
 def test_filter_as_written_n5_full_pass():
-    coeffs = make_filter(5, 4, "as-written").coeffs
+    coeffs = make_filter(5, 4, "as-written")
     assert np.allclose(coeffs, [0.08, 0.54, 1.0, 0.54, 0.08], atol=1e-12)
 
 
 def test_filter_as_written_dc_only():
-    coeffs = make_filter(8, 0, "as-written").coeffs
+    coeffs = make_filter(8, 0, "as-written")
     assert np.allclose(coeffs, [0.08, 0, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
 
 def test_filter_symmetric_mirrors_and_bounded():
-    coeffs = make_filter(8, 2, "symmetric").coeffs
+    coeffs = make_filter(8, 2, "symmetric")
     for k in range(1, 8):
         assert coeffs[k] == pytest.approx(coeffs[8 - k], abs=0)
     assert coeffs[0] == 1.0
@@ -109,19 +108,37 @@ def test_cutoff_from_ratio():
         cutoff_from_ratio(16, 0.0)
 
 
+def test_filter_is_read_only():
+    coeffs = make_filter(8, 2, "symmetric")
+    assert coeffs.shape == (8,)
+    with pytest.raises(ValueError):
+        coeffs[0] = 0.5
+
+
 def test_apply_filter_identity_and_zero():
-    from tokcomp.spectral import SpectrumFilter
     freq = dft_forward(rand_seq(0, 12, 3))
-    same = apply_filter(freq, SpectrumFilter(12, 11, "as-written", np.ones(12)))
-    assert np.array_equal(same.re, freq.re) and np.array_equal(same.im, freq.im)
-    gone = apply_filter(freq, SpectrumFilter(12, 0, "as-written", np.zeros(12)))
-    assert not gone.re.any() and not gone.im.any()
+    same = apply_filter(freq, np.ones(12))
+    assert np.array_equal(same.data, freq.data)
+    gone = apply_filter(freq, np.zeros(12))
+    assert not gone.data.any()
 
 
 def test_apply_filter_length_mismatch():
     freq = dft_forward(rand_seq(0, 6, 1))
     with pytest.raises(ShapeError):
         apply_filter(freq, make_filter(8, 2, "as-written"))
+    for coeffs in (np.ones(5), np.ones(7), np.ones((6, 1)), np.ones((1, 6)), 1.0):
+        with pytest.raises(ShapeError):
+            apply_filter(freq, coeffs)
+
+
+@pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan, np.inf])
+def test_apply_filter_rejects_coefficients_outside_unit_range(bad):
+    freq = dft_forward(rand_seq(0, 6, 2))
+    coeffs = np.full(6, 0.5)
+    coeffs[3] = bad
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        apply_filter(freq, coeffs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -131,8 +148,8 @@ def test_filtering_contracts_energy(n, d, seed, symmetric):
     freq = dft_forward(seq)
     filt = make_filter(n, n // 2, "symmetric" if symmetric else "as-written")
     out = apply_filter(freq, filt)
-    before = np.sum(freq.re ** 2 + freq.im ** 2, axis=0)
-    after = np.sum(out.re ** 2 + out.im ** 2, axis=0)
+    before = np.sum(freq.data.real ** 2 + freq.data.imag ** 2, axis=0)
+    after = np.sum(out.data.real ** 2 + out.data.imag ** 2, axis=0)
     assert np.all(after <= before + 1e-12)
 
 
@@ -141,7 +158,7 @@ def test_symmetric_mode_keeps_real_input_real():
     filt = make_filter(24, 5, "symmetric")
     filtered = dft_inverse(apply_filter(dft_forward(seq), filt))
     scale = max(1.0, np.abs(seq.data).max())
-    assert np.abs(filtered.im).max() / scale < 1e-9
+    assert np.abs(filtered.data.imag).max() / scale < 1e-9
 
 
 # -- energy and pruning -------------------------------------------------------
@@ -168,7 +185,7 @@ def test_energies_match_naive_pipeline(mode, n, d):
     sigma = cutoff_from_ratio(n, 0.25)
     filt = make_filter(n, sigma, mode)
     fast = token_energy(dft_inverse(apply_filter(dft_forward(seq), filt)))
-    naive = naive_filter_energies(seq.data, filt.coeffs)
+    naive = naive_filter_energies(seq.data, filt)
     assert np.abs(fast - naive).max() < 1e-9
 
 
@@ -238,5 +255,5 @@ def test_low_pass_energy_concentrates_on_smooth_half():
     # verify through the naive pipeline that this is a property of the
     # signal, not of the fast transform path
     filt = make_filter(16, cutoff_from_ratio(16, 0.25), "symmetric")
-    naive = naive_filter_energies(seq.data, filt.coeffs)
+    naive = naive_filter_energies(seq.data, filt)
     assert naive[:8].min() > naive[8:].max()

@@ -119,10 +119,17 @@ def test_grids_do_not_alias_their_inputs(dtype):
     assert np.all(g.data == 1) and np.all(g.sizes == 1)
 
 
-def test_complex_sequence_round_trip():
+def test_complex_sequence_is_a_read_only_copy_that_fits_n_by_d():
     z = np.random.default_rng(1).normal(size=(4, 3)) + 1j
-    c = ComplexSequence.from_complex(z)
-    assert np.array_equal(c.as_complex(), z)
+    c = ComplexSequence(4, 3, z)
+    assert c.data.dtype == np.complex128 and np.array_equal(c.data, z)
+    z[0, 0] = 99.0
+    assert c.data[0, 0] != 99.0
+    with pytest.raises(ValueError):
+        c.data[0, 0] = 0
+    for n, d in ((4, 4), (3, 3), (5, 3), (-1, 3), (4, 0)):
+        with pytest.raises(ShapeError):
+            ComplexSequence(n, d, z)
 
 
 # -- LUVC1 and JSON grids ----------------------------------------------------
