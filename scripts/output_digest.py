@@ -1,0 +1,99 @@
+"""Print one sha256 per output family over fixed seeded inputs.
+
+Compare its lines across two trees to show that outputs stay bit-identical:
+`PYTHONPATH=src python scripts/output_digest.py`.  Families: merge outputs
+(many grid sizes, zero tokens, tied features, scales 1e-200 to 1e3);
+spectral_prune energies and kept sets; run_experiment reports without
+timings_ms (demo and 32x32x64 schedules, seeds 0-4); `tokcomp spectrum`
+stdout on the toolkit_ops grid and DCT image, and the image's kept set.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from tokcomp import CompressionSchedule, TokenGrid, TokenSequence, run_experiment
+from tokcomp.cli import cli_main
+from tokcomp.images import write_pgm
+from tokcomp.merging import merge_flat, merge_step
+from tokcomp.spectral import FILTER_MODES, spectral_prune
+from tokcomp.tokens import write_luvc1
+from tokcomp.toymodel import ToyModelConfig
+
+SHAPES = [(2, 2, 1), (3, 5, 3), (4, 4, 8), (7, 6, 4), (16, 16, 32), (32, 32, 64), (96, 96, 32)]
+SCHEDULE = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)), m=2,
+                               llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+
+
+def merge_outputs():
+    for seed, (rows, cols, d) in enumerate(SHAPES):
+        rng = np.random.default_rng(seed)
+        for scale in (1e-200, 1e-3, 1.0, 1e3):  # 1e-200: squares underflow to 0
+            data = scale * rng.normal(size=(rows, cols, d))
+            data[rng.random((rows, cols)) < 0.1] = 0.0
+            ties = np.eye(d)[rng.integers(0, d, (rows, cols))] * rng.integers(-2, 3, (rows, cols, 1))
+            sizes = rng.integers(1, 4, size=(rows, cols)).astype(float)
+            for feats in (data, ties):
+                for m in range(1, min(rows, cols) // 2 + 1, max(1, min(rows, cols) // 8)):
+                    out = merge_step(TokenGrid(rows, cols, d, feats, sizes), m)
+                    yield out.data.tobytes() + out.sizes.tobytes()
+                flat = merge_flat(feats.reshape(-1, d), sizes.reshape(-1), rows * cols // 2)
+                yield flat[0].tobytes() + flat[1].tobytes()
+
+
+def spectral_outputs():
+    for n in (1, 2, 3, 7, 16, 100, 1024, 2304):
+        seq = TokenSequence.from_data(np.random.default_rng(n).normal(size=(n, 16)))
+        for ratio in (0.1, 0.25, 0.5):
+            for mode in FILTER_MODES:
+                _, ranking = spectral_prune(seq, ratio, n // 2, mode)
+                yield ranking.energies.tobytes() + ranking.kept.tobytes()
+
+
+def report_outputs():
+    for side, d, text_len in ((16, 32, 8), (32, 64, 16)):
+        for seed in range(5):
+            grid = TokenGrid.from_data(np.random.default_rng(seed).normal(size=(side, side, d)))
+            cfg = ToyModelConfig(d=d, heads=4, seed=seed, text_len=text_len)
+            doc = run_experiment(grid, None, cfg, SCHEDULE).to_doc()
+            del doc["timings_ms"]
+            yield json.dumps(doc, sort_keys=True).encode()
+
+
+def spectrum_stdouts():
+    """(grid stdout, DCT image stdout) of `tokcomp spectrum` per seed."""
+    def stdout(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli_main(argv) == 0, argv
+        return buf.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        grid, image = str(Path(tmp, "grid.luvc")), str(Path(tmp, "image.pgm"))
+        yy, xx = np.mgrid[0:256, 0:256]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            write_luvc1(TokenGrid.from_data(rng.normal(size=(48, 48, 32))), grid)
+            pixels = np.clip(96 + 0.25 * (yy + xx) + rng.normal(0, 24, size=yy.shape), 0, 255)
+            write_pgm(image, np.rint(pixels).astype(np.uint8))
+            yield stdout(["spectrum", grid]), stdout(["spectrum", image, "--feat", "dct"])
+
+
+def main():
+    runs = list(spectrum_stdouts())
+    families = {
+        "merge": merge_outputs(), "spectral_prune": spectral_outputs(), "reports": report_outputs(),
+        "cli.spectrum.grid": (g.encode() for g, _ in runs),
+        "cli.spectrum.dct": (t.encode() for _, t in runs),
+        "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs)}
+    for name, chunks in families.items():
+        print(f"{hashlib.sha256(b''.join(chunks)).hexdigest()}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,11 +8,15 @@ unreadable input), 3 internal error (a bug; the traceback is printed).
 
 Inputs are sniffed by magic bytes: LUVC1 binary grids, JSON grid fixtures,
 or PGM/PPM images (featurized on the fly with --patch/--feat).
+
+The parser is built once per process and reused; every parse starts from a
+fresh namespace, so cli_main can be called repeatedly in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -175,6 +179,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="tokcomp", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)

@@ -152,11 +152,11 @@ def featurize_image(image: np.ndarray, patch: int, mode: str = "raw") -> TokenGr
     if mode == "raw":
         data = blocks.reshape(gh, gw, patch * patch * chans)
     else:
+        # C @ B @ C.T per (gh, gw, c) block, as two batched matmuls
         c = _dct_matrix(patch)
-        coeff = np.einsum("ux,ghxyc,vy->ghuvc", c, blocks, c)
-        zz = zigzag_indices(patch)
-        per_chan = coeff.transpose(0, 1, 4, 2, 3).reshape(gh, gw, chans, patch * patch)
-        data = per_chan[:, :, :, zz].reshape(gh, gw, chans * patch * patch)
+        coeff = c @ blocks.transpose(0, 1, 4, 2, 3) @ c.T
+        per_chan = coeff.reshape(gh, gw, chans, patch * patch)
+        data = per_chan[:, :, :, zigzag_indices(patch)].reshape(gh, gw, chans * patch * patch)
     return TokenGrid.from_data(data)
 
 

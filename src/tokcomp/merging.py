@@ -23,11 +23,15 @@ from .tokens import TokenGrid
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's arithmetic, with its temporaries folded into one buffer
+    # np.linalg.norm's arithmetic, with its temporaries folded into one buffer.
+    # Rows whose norm is 0 (all zero, or squares that underflow to 0) divide
+    # to nan/inf; clearing just those rows after the divide makes them 0
+    # without a fill pass over the whole buffer.
     out = np.multiply(x, x)
     norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
-    out.fill(0.0)
-    np.divide(x, norms, out=out, where=norms > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(x, norms, out=out)
+    out[norms[..., 0] == 0] = 0.0
     return out
 
 
@@ -55,7 +59,8 @@ def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
     unit = _unit_rows(x)
     sims = unit[:, 0::2] @ unit[:, 1::2].transpose(0, 2, 1)
     best_b = np.argmax(sims, axis=-1)
-    chosen = np.sort(np.argsort(-sims.max(axis=-1), axis=-1, kind="stable")[:, :m], axis=-1)
+    best_sim = np.take_along_axis(sims, best_b[..., None], axis=-1)[..., 0]
+    chosen = np.sort(np.argsort(-best_sim, axis=-1, kind="stable")[:, :m], axis=-1)
     src = 2 * chosen
     dst = 2 * np.take_along_axis(best_b, chosen, axis=-1) + 1
     rows = np.arange(lanes)

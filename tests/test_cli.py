@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tokcomp.cli import cli_main
+from tokcomp.cli import build_parser, cli_main
 from tokcomp.images import write_pgm
 from tokcomp.metrics import CompressionReport
 from tokcomp.pipeline import (CompressionSchedule, no_compression_schedule,
@@ -293,3 +293,20 @@ def test_internal_errors_exit_3_with_a_traceback(grid_file, monkeypatch, capsys)
 def test_help_exits_0(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(grid_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    calls = [["theory", "--n", 0],
+             ["spectrum", tmp_path / "absent.luvc"],
+             ["spectrum", grid_file, "--keep", 5],
+             ["merge", grid_file, "--m", 1, "--out", tmp_path / "merged.luvc"],
+             ["spectrum", grid_file]]
+    first = []
+    for argv in calls:
+        build_parser.cache_clear()  # each call parsed by a freshly built parser
+        code = run(argv)
+        first.append((code, capsys.readouterr()))
+    assert [code for code, _ in first] == [1, 2, 0, 0, 0]
+    for argv, (code, out) in zip(calls + calls, first + first):  # one shared parser
+        assert (run(argv), capsys.readouterr()) == (code, out), argv

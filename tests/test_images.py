@@ -96,12 +96,24 @@ def test_constant_image_dct_is_dc_only():
 
 
 def test_dct_matches_naive_double_loop():
+    # every block and channel, incl. a center crop (21x19 -> 20x16), against
+    # the loop oracle in zig-zag order
     rng = np.random.default_rng(0)
-    img = rng.integers(0, 256, size=(8, 8)).astype(np.uint8)
-    grid = featurize_image(img, 8, "dct")
-    zz = zigzag_indices(8)
-    expected = naive_dct2(img.astype(float)).reshape(-1)[zz]
-    assert np.abs(grid.data[0, 0] - expected).max() < 1e-9
+    for shape, patch in (((8, 8), 8), ((21, 19, 3), 4), ((24, 16), 8)):
+        img = rng.integers(0, 256, size=shape).astype(np.uint8)
+        grid = featurize_image(img, patch, "dct")
+        rows, cols = shape[0] // patch * patch, shape[1] // patch * patch
+        r0, c0 = (shape[0] - rows) // 2, (shape[1] - cols) // 2
+        crop = img.astype(float).reshape(shape[0], shape[1], -1)[r0:r0 + rows, c0:c0 + cols]
+        chans = crop.shape[2]
+        zz = zigzag_indices(patch)
+        assert (grid.h, grid.w, grid.d) == (rows // patch, cols // patch, chans * patch * patch)
+        for i in range(grid.h):
+            for j in range(grid.w):
+                block = crop[i * patch:(i + 1) * patch, j * patch:(j + 1) * patch]
+                expected = np.concatenate([naive_dct2(block[:, :, ch]).reshape(-1)[zz]
+                                           for ch in range(chans)])
+                assert np.abs(grid.data[i, j] - expected).max() < 1e-9, (shape, i, j)
 
 
 def test_color_dct_keeps_channels_separate():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_grid_merge_width, brute_lane_merge
 from tokcomp.errors import ShapeError
-from tokcomp.merging import (lane_match_ops, merge_flat, merge_height,
+from tokcomp.merging import (_unit_rows, lane_match_ops, merge_flat, merge_height,
                              merge_step, merge_width, similarity_op_count)
 from tokcomp.tokens import TokenGrid
 
@@ -73,6 +73,23 @@ def test_lane_merge_matches_brute_force(half, seed):
     exp_f, exp_s = brute_grid_merge_width(data, grid_sizes, m)
     assert np.array_equal(out.data, exp_f)
     assert np.array_equal(out.sizes, exp_s)
+
+
+def test_zero_norm_tokens_have_zero_unit_rows():
+    # all-zero tokens, and tokens whose squares underflow to a zero norm
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(10, 3))
+    feats[[0, 3, 9]] = 0.0
+    feats[[1, 2, 8]] = 1e-200 * rng.normal(size=(3, 3))
+    sizes = rng.integers(1, 4, size=10).astype(float)
+    with np.errstate(all="raise", under="ignore"):  # no divide/invalid warning escapes
+        unit = _unit_rows(feats[None])[0]
+        got_f, got_s = merge_flat(feats, sizes, 3)
+    assert np.array_equal(unit[[0, 1, 2, 3, 8, 9]], np.zeros((6, 3)))
+    assert np.allclose(np.linalg.norm(unit[4:8], axis=-1), 1.0)
+    exp_f, exp_s = brute_lane_merge(feats, sizes, 3)
+    assert np.allclose(got_f, exp_f, atol=1e-12)
+    assert np.array_equal(got_s, exp_s)
 
 
 # -- grid merges --------------------------------------------------------------
