@@ -6,6 +6,9 @@ Compare its lines across two trees to show that outputs stay bit-identical:
 spectral_prune energies and kept sets; run_experiment reports without
 timings_ms (demo and 32x32x64 schedules, seeds 0-4); `tokcomp spectrum`
 stdout on the toolkit_ops grid and DCT image, and the image's kept set.
+Over the same runs as the reports, the model families hash the merged sizes
+of encoder_forward, the kept positions of every prune, and the encoder
+output with the final LLM hidden states.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tokcomp import CompressionSchedule, TokenGrid, TokenSequence, run_experiment
+from tokcomp import CompressionSchedule, TokenGrid, TokenSequence, pipeline, run_experiment
 from tokcomp.cli import cli_main
 from tokcomp.images import write_pgm
 from tokcomp.merging import merge_flat, merge_step
@@ -55,14 +58,35 @@ def spectral_outputs():
                 yield ranking.energies.tobytes() + ranking.kept.tobytes()
 
 
-def report_outputs():
+@contextlib.contextmanager
+def recording(name, keep):
+    """Wrap tokcomp.pipeline.<name> so that each call appends keep(result) to a list."""
+    real = getattr(pipeline, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(keep(out))
+        return out
+
+    setattr(pipeline, name, wrapper)
+    try:
+        yield calls
+    finally:
+        setattr(pipeline, name, real)
+
+
+def model_runs():
+    """(report without timings_ms, encoder grid, kept sets, final hidden states) per run."""
     for side, d, text_len in ((16, 32, 8), (32, 64, 16)):
         for seed in range(5):
             grid = TokenGrid.from_data(np.random.default_rng(seed).normal(size=(side, side, d)))
             cfg = ToyModelConfig(d=d, heads=4, seed=seed, text_len=text_len)
-            doc = run_experiment(grid, None, cfg, SCHEDULE).to_doc()
+            with (recording("spectral_prune", lambda out: out[1].kept) as kept,
+                  recording("llm_forward", lambda out: out[0].data) as hidden):
+                doc = run_experiment(grid, None, cfg, SCHEDULE).to_doc()
             del doc["timings_ms"]
-            yield json.dumps(doc, sort_keys=True).encode()
+            yield doc, pipeline.encoder_forward(grid, cfg, SCHEDULE), kept, hidden[0]
 
 
 def spectrum_stdouts():
@@ -86,11 +110,16 @@ def spectrum_stdouts():
 
 def main():
     runs = list(spectrum_stdouts())
+    models = list(model_runs())
     families = {
-        "merge": merge_outputs(), "spectral_prune": spectral_outputs(), "reports": report_outputs(),
+        "merge": merge_outputs(), "spectral_prune": spectral_outputs(),
+        "reports": (json.dumps(doc, sort_keys=True).encode() for doc, *_ in models),
         "cli.spectrum.grid": (g.encode() for g, _ in runs),
         "cli.spectrum.dct": (t.encode() for _, t in runs),
-        "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs)}
+        "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs),
+        "model.sizes": (enc.sizes.tobytes() for _, enc, _, _ in models),
+        "model.kept": (k.tobytes() for _, _, kept, _ in models for k in kept),
+        "model.hidden": (enc.data.tobytes() + h.tobytes() for _, enc, _, h in models)}
     for name, chunks in families.items():
         print(f"{hashlib.sha256(b''.join(chunks)).hexdigest()}  {name}")
 

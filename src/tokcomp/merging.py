@@ -92,13 +92,9 @@ def merge_height(grid: TokenGrid, m: int) -> TokenGrid:
     return merge_width(grid.transpose(), m).transpose()
 
 
-def merge_step(grid: TokenGrid, m: int, m_h: int | None = None) -> TokenGrid:
-    """One orthogonal iteration: width merge then height merge.
-
-    m_h lets non-square inputs merge at a different rate per axis; it
-    defaults to m.
-    """
-    return merge_height(merge_width(grid, m), m if m_h is None else m_h)
+def merge_step(grid: TokenGrid, m: int) -> TokenGrid:
+    """One orthogonal iteration: width merge then height merge."""
+    return merge_height(merge_width(grid, m), m)
 
 
 def merge_flat(features: np.ndarray, sizes: np.ndarray,

@@ -72,29 +72,6 @@ def reduction_ratio(trace: list[LayerCount] | tuple[LayerCount, ...]) -> tuple[f
     return retention, 1.0 - retention
 
 
-def aggregate_reports(reports) -> dict:
-    """Dataset-level view over many runs, both averaging conventions.
-
-    "mean_of_runs" averages each run's layer-averaged ratio; "pooled" merges
-    every layer of every run into one average first.  The two differ when
-    runs have different layer counts.
-    """
-    reports = list(reports)
-    if not reports:
-        raise ValueError("no reports to aggregate")
-    per_run = [r.retention_ratio for r in reports]
-    pooled_p = float(np.mean([e.visual for r in reports for e in r.per_layer_counts]))
-    pooled_o = float(np.mean([e.base_visual for r in reports for e in r.per_layer_counts]))
-    pooled = 1.0 if pooled_o == 0 else pooled_p / pooled_o
-    return {
-        "runs": len(reports),
-        "retention_mean_of_runs": float(np.mean(per_run)),
-        "pruning_mean_of_runs": 1.0 - float(np.mean(per_run)),
-        "retention_pooled": pooled,
-        "pruning_pooled": 1.0 - pooled,
-    }
-
-
 @dataclass(frozen=True)
 class CompressionReport:
     """Everything one pipeline run reports; serializes to a stable JSON doc."""

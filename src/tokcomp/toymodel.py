@@ -12,26 +12,24 @@ merged-size value boost (see merging.size_boost) plus a two-layer ReLU
 feed-forward, both with residuals.  Position information enters once, as
 additive sinusoidal encodings before layer 0.
 
-Attention folds the softmax shift and the row sums into its two BLAS
-products, as FlashAttention carries the denominator through the value
-product: q is scaled by 1/sqrt(dh), the merged-size boost is added to v once
-for all heads, and each head's q, k and v gain one column, q' = [q, -u],
-k' = [k, 1], v' = [v, 1].  The shift u_i = ||q_i|| * max_j ||k_j|| is at or
-above row i's largest score (Cauchy–Schwarz) and costs n·dh operations, so
-q' @ k'.T is the shifted score block, softmax_rows exponentiates it in place
-(the one numpy pass over the n x n block), and exp(s - u) @ v' yields the
-numerator and the row sum together; the n x dh numerator is divided by the
-sum.  A head whose largest u exceeds SHIFT_MAX takes a zero shift column
-instead, and its scores are shifted by their exact row max in the block
-before the exp, so inputs of any scale cost no more than the unfolded form.
-No normalised attention matrix is ever formed.  Attention holds one float64
-score buffer per call, at most max(SCORE_BLOCK_BYTES, 8n²) bytes for n
-tokens: heads run in groups that fit the budget (one head at a time once 8n²
-reaches it).  Outputs are bit-identical to the same arithmetic on all heads
-at once.  Against the normalise-then-multiply form (scaled scores, shifted
-by the exact row max, normalised rows, then the boosted value product) they
-differ by at most a few 1e-15 relative per call on normal(0, 1) inputs;
-whole-run reports, merged sizes and kept sets are unchanged.
+Attention carries the row sums through the value product, as FlashAttention
+carries the softmax denominator: q is scaled by 1/sqrt(dh), the merged-size
+boost is added to v once for all heads, and v gains a ones column,
+v' = [v, 1], so exp(s) @ v' yields the numerator and the row sum together;
+the n x dh numerator is divided by the sum.  A head whose bound
+max_i ||q_i|| * max_j ||k_j|| is at most SHIFT_MAX has every score in
+[-SHIFT_MAX, SHIFT_MAX] (Cauchy–Schwarz), where exp neither overflows nor
+underflows, so softmax_rows exponentiates its scores unshifted: the one numpy
+pass over the n x n block.  A head above SHIFT_MAX has its scores shifted by
+their exact row max in the block before the exp.  No normalised attention
+matrix is ever formed.  Attention holds one float64 score buffer per call, at
+most max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run in groups that
+fit the budget (one head at a time once 8n² reaches it).  Outputs are
+bit-identical to the same arithmetic on all heads at once.  Against the
+normalise-then-multiply form (scaled scores, shifted by the exact row max,
+normalised rows, then the boosted value product) they differ by at most a few
+1e-15 relative per call on normal(0, 1) inputs; whole-run reports, merged
+sizes and kept sets are unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -48,6 +46,7 @@ so outputs do not depend on the cache.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from operator import index
@@ -71,9 +70,9 @@ FF_EXPANSION = 2
 # Bytes of float64 attention scores held at once; see attention.
 SCORE_BLOCK_BYTES = 8 << 20
 
-# Largest Cauchy–Schwarz shift attention folds into a head's score product;
-# see attention.  A folded row's largest term is then at least
-# exp(-2 * SHIFT_MAX), and its exponents carry rounding of about eps * dh * u.
+# Largest bound max ||q_i|| * max ||k_j|| of a head that attention exponentiates
+# unshifted; see attention.  Every exponent of such a head lies in
+# [-SHIFT_MAX, SHIFT_MAX] and carries rounding of about eps * dh * SHIFT_MAX.
 SHIFT_MAX = 64.0
 
 # Bytes of generated weights kept for the most recent config; see the module doc.
@@ -103,11 +102,13 @@ def tensor_seed(seed: int, *tags: int) -> int:
 def uniform_tensor(seed: int, shape: tuple[int, ...], scale: float) -> np.ndarray:
     """uniform(-scale, scale) values from the counter hash, row-major.
 
-    Every dimension must be non-negative.
+    Every dimension must be non-negative, and the value count must fit np.intp.
     """
     if any(dim < 0 for dim in shape):
         raise ShapeError(f"tensor shape {shape} has a negative dimension")
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
+    if count > np.iinfo(np.intp).max:
+        raise ShapeError(f"tensor shape {shape} holds {count} values, more than an array can index")
     idx = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     z = _mix64(np.uint64(seed) + idx)
     u = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
@@ -204,11 +205,10 @@ def sinusoidal_positions(positions: np.ndarray, d: int) -> np.ndarray:
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Exponentiate float64 x in place and return it.
 
-    attention writes each score row already shifted to at most 0, by its
-    Cauchy–Schwarz bound u_i >= max_j s_ij or by its exact max, so no term
-    overflows.  This is the one numpy pass over the score block on folded
-    heads: the shift comes out of the score product and the row sums out of
-    the value product.
+    attention passes scores in [-SHIFT_MAX, SHIFT_MAX], or shifted by their
+    exact row max, so no term overflows and no row underflows.  This is the
+    one numpy pass over the score block on unshifted heads: the row sums
+    come out of the value product.
     """
     return np.exp(x, out=x)
 
@@ -229,54 +229,48 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     """Multi-head softmax attention; sizes trigger the log-size value boost.
 
     q = (x @ wq) / sqrt(dh), k = x @ wk and v = merging.size_boost(x @ wv,
-    sizes) are formed once for all heads, in (heads, n, dh + 1) buffers
-    holding q' = [q, -u], k' = [k, 1] and v' = [v, 1], where
-    u_i = ||q_i|| * max_j ||k_j|| per head is at or above row i's largest
-    score (Cauchy–Schwarz) and costs n·dh operations, not n².  Heads then
+    sizes) are formed once for all heads, q and k as (heads, n, dh) views
+    and v in a (heads, n, dh + 1) buffer holding v' = [v, 1].  Heads then
     run in groups of g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²))
-    through one (g, n, n) score buffer: q' @ k'.T writes s - u into it,
-    softmax_rows exponentiates it in place, and r = exp(s - u) @ v' holds
+    through one (g, n, n) score buffer: q @ k.T writes the scores s into
+    it, softmax_rows exponentiates it in place, and r = exp(s) @ v' holds
     the numerator and the row sum together, so the output is
     r[..., :dh] / r[..., dh:].
 
-    Every row of a folded head has u_i <= SHIFT_MAX, so its largest score is
-    at least -u_i and its largest term at least exp(-2 * SHIFT_MAX): no row
-    underflows.  A head whose largest u exceeds SHIFT_MAX (inputs of large
-    scale, such as raw pixels, where u lies thousands above the row max)
-    gets a zero shift column instead, so q' @ k'.T is its plain scores, and
-    _shift_by_row_max subtracts their exact row max in the block before the
-    exp.  The choice is made per head before the score product, so no score
-    is computed twice and score memory peaks at max(SCORE_BLOCK_BYTES, 8n²)
-    bytes either way.  Each head's arithmetic is that of the all-heads form.
-    Against the form that shifts by the exact row max and normalises the
-    rows before the value product, one call differs by at most a few 1e-15
-    relative, on normal(0, 1) inputs (u below 10) as at u near SHIFT_MAX,
-    and by about 5e-14 on exact-shift heads of uniform(0, 100) tokens,
-    where each form is about 1e-13 from a long-double reference.
+    A head with max_i ||q_i||² * max_j ||k_j||² <= SHIFT_MAX² has every
+    score within SHIFT_MAX of 0 (Cauchy–Schwarz), so its terms lie in
+    [exp(-SHIFT_MAX), exp(SHIFT_MAX)]: none overflows and no row
+    underflows.  A head above that bound (inputs of large scale, such as
+    raw pixels) has _shift_by_row_max subtract its exact row max in the
+    block before the exp.  The choice costs n·dh operations per head and is
+    made before the score product, so no score is computed twice and score
+    memory peaks at max(SCORE_BLOCK_BYTES, 8n²) bytes either way.  Each
+    head's arithmetic is that of the all-heads form.  Against the form that
+    shifts by the exact row max and normalises the rows before the value
+    product, one call differs by at most a few 1e-15 relative, on
+    normal(0, 1) inputs as at bounds near SHIFT_MAX, and by about 5e-14 on
+    exact-shift heads of uniform(0, 100) tokens, where each form is about
+    1e-13 from a long-double reference.
     """
     n, d = x.shape
     if n == 0:
         return x.copy()
     dh = d // heads
-    qkv = np.ones((3, heads, n, dh + 1))
-    qa, ka, va = qkv
-    qa[..., :dh] = _split_heads(x @ lw.wq / np.sqrt(dh), heads)
-    ka[..., :dh] = _split_heads(x @ lw.wk, heads)
+    q = _split_heads(x @ lw.wq / np.sqrt(dh), heads)
+    k = _split_heads(x @ lw.wk, heads)
+    va = np.ones((heads, n, dh + 1))
     va[..., :dh] = _split_heads(x @ lw.wv, heads)
     if sizes is not None:
         va[..., :dh] = size_boost(va[..., :dh], sizes)
-    qq, kk = np.einsum("ahnc,ahnc->ahn", qkv[:2, ..., :dh], qkv[:2, ..., :dh])
-    u = np.sqrt(qq * kk.max(axis=-1, keepdims=True))
-    exact = [h for h, top in enumerate(u.max(axis=-1)) if top > SHIFT_MAX]
-    u[exact] = 0.0
-    qa[..., dh] = -u
+    qq, kk = (np.einsum("hnc,hnc->hn", t, t).max(axis=-1) for t in (q, k))
+    exact = [h for h in range(heads) if qq[h] * kk[h] > SHIFT_MAX ** 2]
     g = max(1, min(heads, SCORE_BLOCK_BYTES // (8 * n * n)))
     scores = np.empty((g, n, n))
     out = np.empty((heads, n, dh))
     for h0 in range(0, heads, g):
         h1 = min(h0 + g, heads)
         s = scores[:h1 - h0]
-        np.matmul(qa[h0:h1], ka[h0:h1].mT, out=s)
+        np.matmul(q[h0:h1], k[h0:h1].mT, out=s)
         for h in exact:
             if h0 <= h < h1:
                 _shift_by_row_max(s[h - h0])

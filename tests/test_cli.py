@@ -274,6 +274,14 @@ def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):
     assert err.count("data error: schedule JSON") == 9
 
 
+def test_text_len_beyond_any_array_exits_2(grid_file, tmp_path, capsys):
+    sched = tmp_path / "sched.json"
+    model = {"d": 8, "heads": 2, "text_len": 10**30}
+    sched.write_text(json.dumps({"schema": 1, "model": model, "schedule": {}}))
+    assert run(["simulate", grid_file, "--schedule", sched]) == 2
+    assert "data error: tensor shape" in capsys.readouterr().err
+
+
 def test_semantic_errors_exit_2(grid_file, capsys):
     assert run(["spectrum", grid_file, "--keep", 99]) == 2
     assert run(["merge", grid_file, "--m", 99, "--out", "/dev/null"]) == 2

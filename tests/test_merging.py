@@ -162,12 +162,6 @@ def test_rows_merge_independently():
     assert np.array_equal(permuted_then_merged.data, merged_then_permuted.data[perm])
 
 
-def test_merge_step_per_axis_counts():
-    out = merge_step(rand_grid(21, 4, 10, 2), 3, m_h=1)
-    assert (out.h, out.w) == (3, 7)
-    assert out.sizes.sum() == 40
-
-
 def test_constant_grid_merge_keeps_features():
     g = TokenGrid.from_data(np.tile(np.array([3.0, -1.0]), (4, 4, 1)))
     out = merge_step(g, 1)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from tokcomp.errors import FormatError
-from tokcomp.metrics import (CompressionReport, LayerCount, aggregate_reports,
-                             layer_flops, pipeline_flops, reduction_ratio)
+from tokcomp.metrics import (CompressionReport, LayerCount, layer_flops, pipeline_flops,
+                             reduction_ratio)
 
 
 def llm_trace(visual_counts, text=0, base=None):
@@ -149,27 +149,3 @@ def test_report_rejects_bad_schema(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             CompressionReport.load(path)
-
-
-def make_report(visual_counts, base):
-    trace = tuple(llm_trace(visual_counts, base=base))
-    b, c = pipeline_flops(trace, 4)
-    retention, pruning = reduction_ratio(trace)
-    return CompressionReport(trace, b, c, retention, pruning, 0)
-
-
-def test_aggregate_reports_both_conventions():
-    # run A: 2 layers at 1/2 retention; run B: 4 layers at 1/4 retention
-    run_a = make_report([8, 0], base=8)
-    run_b = make_report([8, 0, 0, 0], base=8)
-    agg = aggregate_reports([run_a, run_b])
-    assert agg["runs"] == 2
-    assert agg["retention_mean_of_runs"] == pytest.approx((0.5 + 0.25) / 2)
-    # pooled: (8+0+8+0+0+0) / 6 over base 8
-    assert agg["retention_pooled"] == pytest.approx(16 / 6 / 8)
-    assert agg["pruning_pooled"] + agg["retention_pooled"] == pytest.approx(1.0)
-
-
-def test_aggregate_requires_reports():
-    with pytest.raises(ValueError):
-        aggregate_reports([])

@@ -114,22 +114,17 @@ def test_unit_sizes_take_the_plain_path():
 
 
 def batched_attention(x, lw, heads, sizes=None):
-    """All heads in one score tensor, the shift and the row sums folded into the products."""
+    """All heads in one score tensor, the row sums carried by v's ones column."""
     n, d = x.shape
     dh = d // heads
     q = (x @ lw.wq) / np.sqrt(dh)
     v = x @ lw.wv if sizes is None else size_boost(x @ lw.wv, sizes)
-    qkv = np.ones((3, heads, n, dh + 1))
-    for a, t in zip(qkv, (q, x @ lw.wk, v)):
-        a[..., :dh] = t.reshape(n, heads, dh).transpose(1, 0, 2)
-    qq, kk = np.einsum("ahnc,ahnc->ahn", qkv[:2, ..., :dh], qkv[:2, ..., :dh])
-    u = np.sqrt(qq * kk.max(axis=-1, keepdims=True))
-    exact = u.max(axis=-1) > toymodel.SHIFT_MAX
-    u[exact] = 0.0
-    qkv[0, ..., dh] = -u
-    s = qkv[0] @ qkv[1].mT
+    qh, kh, vh = (t.reshape(n, heads, dh).transpose(1, 0, 2) for t in (q, x @ lw.wk, v))
+    bound = np.linalg.norm(qh, axis=-1).max(axis=-1) * np.linalg.norm(kh, axis=-1).max(axis=-1)
+    exact = bound > toymodel.SHIFT_MAX
+    s = qh @ kh.mT
     s[exact] -= s[exact].max(axis=-1, keepdims=True)
-    r = np.exp(s) @ qkv[2]
+    r = np.exp(s) @ np.concatenate([vh, np.ones((heads, n, 1))], axis=-1)
     out = r[..., :dh] / r[..., dh:]
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
@@ -177,8 +172,8 @@ def exact_shifts(monkeypatch):
 
 @pytest.mark.parametrize("d,heads", [(8, 2), (32, 4), (64, 8)])
 def test_underflowing_rows_take_the_exact_max(exact_shifts, d, heads):
-    # uniform(0, 100) tokens put the Cauchy–Schwarz shift thousands above
-    # the row max, where every folded term of a row would underflow
+    # uniform(0, 100) tokens put scores thousands away from 0, where exp
+    # of an unshifted row would overflow or underflow
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
     rng = np.random.default_rng(d * heads)
     for n in (1, 5, 31, 257):
@@ -191,7 +186,7 @@ def test_underflowing_rows_take_the_exact_max(exact_shifts, d, heads):
             assert exact_shifts, n
 
 
-def largest_shift(x, lw, heads):
+def largest_bound(x, lw, heads):
     n, d = x.shape
     dh = d // heads
     q = (x @ lw.wq / np.sqrt(dh)).reshape(n, heads, dh)
@@ -201,16 +196,19 @@ def largest_shift(x, lw, heads):
 
 @pytest.mark.parametrize("d,heads", [(8, 2), (32, 4), (64, 8)])
 def test_shifts_near_the_limit_stay_folded_and_accurate(exact_shifts, d, heads):
-    # the largest folded shift leaves rows up to 2 * SHIFT_MAX below it
+    # a bound just under SHIFT_MAX puts unshifted exponents near +-SHIFT_MAX
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
     rng = np.random.default_rng(d + heads)
     for n in (31, 257, 1024):
         x = rng.normal(size=(n, d))
         for share, folded in ((0.99, True), (1.01, False)):
-            xs = x * np.sqrt(share * toymodel.SHIFT_MAX / largest_shift(x, lw, heads))
+            xs = x * np.sqrt(share * toymodel.SHIFT_MAX / largest_bound(x, lw, heads))
             exact_shifts.clear()
             want = previous_attention(xs, lw, heads)
-            diff = np.abs(attention(xs, lw, heads) - want).max()
+            # an overflow or underflow on the unshifted path fails the test
+            with np.errstate(all="raise" if folded else None):
+                got = attention(xs, lw, heads)
+            diff = np.abs(got - want).max()
             assert diff <= 1e-13 * np.abs(want).max(), (n, share, diff)
             assert (exact_shifts == []) == folded, (n, share)
 
@@ -283,6 +281,14 @@ def test_negative_dimensions_are_refused():
     assert uniform_tensor(0, (0, 4), 1.0).shape == (0, 4)
     with pytest.raises(ShapeError, match="negative"):
         text_tokens(ToyModelConfig(d=16, heads=2), -3)
+
+
+def test_uncountable_shapes_are_refused():
+    # the value count overflows np.intp, so nothing is allocated
+    with pytest.raises(ShapeError, match="more than an array can index"):
+        uniform_tensor(0, (10**30, 8), 1.0)
+    with pytest.raises(ShapeError, match="more than an array can index"):
+        text_tokens(ToyModelConfig(d=16, heads=2), 10**30)
 
 
 def test_block_forward_empty_input():
