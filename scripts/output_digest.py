@@ -8,7 +8,10 @@ timings_ms (demo and 32x32x64 schedules, seeds 0-4); `tokcomp spectrum`
 stdout on the toolkit_ops grid and DCT image, and the image's kept set.
 Over the same runs as the reports, the model families hash the merged sizes
 of encoder_forward, the kept positions of every prune, and the encoder
-output with the final LLM hidden states.
+output with the final LLM hidden states.  toymodel.attention hashes single
+calls (d/heads 8/2, 32/4, 64/8; n 1 to 1024) on normal(0, 1) tokens and on
+uniform(0, 100) tokens, whose heads take the exact-shift path, with and
+without merged sizes.
 """
 
 import contextlib
@@ -26,7 +29,7 @@ from tokcomp.images import write_pgm
 from tokcomp.merging import merge_flat, merge_step
 from tokcomp.spectral import FILTER_MODES, spectral_prune
 from tokcomp.tokens import write_luvc1
-from tokcomp.toymodel import ToyModelConfig
+from tokcomp.toymodel import STAGE_ENCODER, ToyModelConfig, attention, layer_weights
 
 SHAPES = [(2, 2, 1), (3, 5, 3), (4, 4, 8), (7, 6, 4), (16, 16, 32), (32, 32, 64), (96, 96, 32)]
 SCHEDULE = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)), m=2,
@@ -56,6 +59,16 @@ def spectral_outputs():
             for mode in FILTER_MODES:
                 _, ranking = spectral_prune(seq, ratio, n // 2, mode)
                 yield ranking.energies.tobytes() + ranking.kept.tobytes()
+
+
+def attention_outputs():
+    for d, heads in ((8, 2), (32, 4), (64, 8)):
+        lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
+        rng = np.random.default_rng(d * heads)
+        for n in (1, 33, 257, 1024):
+            for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+                for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
+                    yield attention(x, lw, heads, sizes).tobytes()
 
 
 @contextlib.contextmanager
@@ -119,7 +132,8 @@ def main():
         "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs),
         "model.sizes": (enc.sizes.tobytes() for _, enc, _, _ in models),
         "model.kept": (k.tobytes() for _, _, kept, _ in models for k in kept),
-        "model.hidden": (enc.data.tobytes() + h.tobytes() for _, enc, _, h in models)}
+        "model.hidden": (enc.data.tobytes() + h.tobytes() for _, enc, _, h in models),
+        "toymodel.attention": attention_outputs()}
     for name, chunks in families.items():
         print(f"{hashlib.sha256(b''.join(chunks)).hexdigest()}  {name}")
 

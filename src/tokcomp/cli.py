@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 from dataclasses import replace
@@ -62,9 +63,23 @@ def _int_at_least(low: int, below: int | None = None):
     return parse
 
 
+def _sigma_ratio(text: str) -> float:
+    """argparse type: a float in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1]")
+    return value
+
+
 def _bench_sizes(text: str) -> list[int]:
-    # sizes >= 2 give positive op counts, two distinct ones a defined slope
+    # square sizes >= 2 give positive op counts on a square grid, two distinct
+    # ones a defined slope
     sizes = [_int_at_least(2)(s) for s in text.split(",") if s]
+    if any(math.isqrt(s) ** 2 != s for s in sizes):
+        raise argparse.ArgumentTypeError(f"{text!r} holds a size that is not a perfect square")
     if len(set(sizes)) < 2:
         raise argparse.ArgumentTypeError(f"{text!r} holds fewer than two distinct sizes")
     return sizes
@@ -96,6 +111,8 @@ def _add_input(sub) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.mask is not None and args.heatmap is None:
+        raise _UsageError("--mask needs --heatmap")
     grid = _load_grid_arg(args)
     seq = sequence_from_grid(grid)
     keep = args.keep if args.keep is not None else seq.n // 2
@@ -186,7 +203,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", help="prune a grid's tokens by spectral energy")
     _add_input(p)
-    p.add_argument("--sigma-ratio", type=float, default=0.25)
+    p.add_argument("--sigma-ratio", type=_sigma_ratio, default=0.25)
     p.add_argument("--keep", type=_int_at_least(0), default=None,
                    help="tokens to keep (default n//2)")
     p.add_argument("--filter-mode", choices=spectral.FILTER_MODES, default="as-written")
@@ -211,7 +228,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l0", type=_int_at_least(0), default=None, help="override first pruning layer")
     p.add_argument("--l-delta", type=_int_at_least(1), default=None, help="override pruning interval")
     p.add_argument("--m", type=_int_at_least(0), default=None, help="override merges per axis")
-    p.add_argument("--sigma-ratio", type=float, default=None)
+    p.add_argument("--sigma-ratio", type=_sigma_ratio, default=None)
     p.add_argument("--filter-mode", choices=spectral.FILTER_MODES, default=None)
     p.add_argument("--out", default=None, help="report JSON (default stdout)")
     p.set_defaults(func=_cmd_simulate)
@@ -244,16 +261,15 @@ def cli_main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
+        if getattr(args, "func", None) is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        return args.func(args)
+    except _UsageError as e:  # from the parser or a handler, before any input is read
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except (ValueError, OSError) as e:  # every data error the toolkit raises
         print(f"data error: {e}", file=sys.stderr)
         return 2

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from operator import index
 
 import numpy as np
 
 from .errors import FormatError
-from .tokens import read_json_doc
+from .tokens import read_json_doc, strict_index
 
 REPORT_SCHEMA = 1
 
@@ -35,7 +34,7 @@ class LayerCount:
         if self.stage not in ("encoder", "llm"):
             raise ValueError(f"unknown stage {self.stage!r}")
         for name in ("layer", "visual", "text", "base_visual"):
-            object.__setattr__(self, name, index(getattr(self, name)))
+            object.__setattr__(self, name, strict_index(getattr(self, name)))
         if min(self.layer, self.visual, self.text, self.base_visual) < 0:
             raise ValueError("layer counts must be non-negative")
 
@@ -86,7 +85,7 @@ class CompressionReport:
 
     def __post_init__(self):
         for name in ("flops_base", "flops_compressed", "similarity_ops"):
-            object.__setattr__(self, name, index(getattr(self, name)))
+            object.__setattr__(self, name, strict_index(getattr(self, name)))
         if not abs(self.retention_ratio + self.pruning_ratio - 1.0) <= 1e-9:  # NaN fails
             raise ValueError("retention and pruning ratios must sum to 1")
         if self.flops_compressed > self.flops_base:

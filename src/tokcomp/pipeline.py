@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, replace
-from operator import index
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import FormatError, ProjectorCompatibilityError, ScheduleError, Sha
 from .merging import lane_match_ops, merge_height, merge_width
 from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ratio
 from .spectral import FILTER_MODES, spectral_prune
-from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc
+from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc, strict_index
 from .toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig, block_forward,
                        connector_matrix, layer_weights, sinusoidal_positions,
                        text_tokens)
@@ -59,14 +58,14 @@ class CompressionSchedule:
 
     def __post_init__(self):
         for name in ("enc_layers", "m", "llm_layers", "l0", "l_delta", "projector_factor"):
-            object.__setattr__(self, name, index(getattr(self, name)))
+            object.__setattr__(self, name, strict_index(getattr(self, name)))
         object.__setattr__(self, "merge_pairs",
-                           tuple((index(i), index(j)) for i, j in self.merge_pairs))
+                           tuple((strict_index(i), strict_index(j)) for i, j in self.merge_pairs))
         if self.enc_layers < 0 or self.llm_layers < 0:
             raise ScheduleError("layer counts must be non-negative")
         if self.m < 0 or self.l0 < 0 or self.l_delta < 1 or self.projector_factor < 1:
             raise ScheduleError("bad m / l0 / l_delta / projector_factor")
-        if not 0 < self.sigma_ratio <= 1:
+        if isinstance(self.sigma_ratio, bool) or not 0 < self.sigma_ratio <= 1:
             raise ScheduleError(f"sigma_ratio={self.sigma_ratio} outside (0, 1]")
         if self.filter_mode not in FILTER_MODES:
             raise ScheduleError(f"unknown filter mode {self.filter_mode!r}")
@@ -80,7 +79,7 @@ class CompressionSchedule:
                 raise ScheduleError("merge pairs overlap")
             used |= {i, j}
         if self.keep_ladder is not None:
-            ladder = tuple(index(k) for k in self.keep_ladder)
+            ladder = tuple(strict_index(k) for k in self.keep_ladder)
             object.__setattr__(self, "keep_ladder", ladder)
             n_spu = len(self.spu_layers)
             if len(ladder) != n_spu:

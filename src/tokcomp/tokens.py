@@ -36,6 +36,13 @@ LUVC1_MAGIC = b"LUVC"
 LUVC1_VERSION = 1
 
 
+def strict_index(value) -> int:
+    """operator.index(value), refusing bool: a JSON true is not a count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return index(value)
+
+
 def _frozen(a: np.ndarray, source) -> np.ndarray:
     """Read-only copy of `a`, the float/int conversion of `source`; a
     conversion that already copied an array is frozen without a second copy."""
@@ -289,7 +296,8 @@ def read_grid_json(path) -> TokenGrid:
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise FormatError("grid JSON: missing schema marker")
     try:
-        return TokenGrid(index(doc["h"]), index(doc["w"]), index(doc["d"]), doc["data"], doc["sizes"])
+        return TokenGrid(strict_index(doc["h"]), strict_index(doc["w"]), strict_index(doc["d"]),
+                         doc["data"], doc["sizes"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # ShapeError is a ValueError
         raise FormatError(f"grid JSON: {e}") from e
 

@@ -22,14 +22,13 @@ max_i ||q_i|| * max_j ||k_j|| is at most SHIFT_MAX has every score in
 underflows, so softmax_rows exponentiates its scores unshifted: the one numpy
 pass over the n x n block.  A head above SHIFT_MAX has its scores shifted by
 their exact row max in the block before the exp.  No normalised attention
-matrix is ever formed.  Attention holds one float64 score buffer per call, at
-most max(SCORE_BLOCK_BYTES, 8n²) bytes for n tokens: heads run in groups that
-fit the budget (one head at a time once 8n² reaches it).  Outputs are
-bit-identical to the same arithmetic on all heads at once.  Against the
-normalise-then-multiply form (scaled scores, shifted by the exact row max,
-normalised rows, then the boosted value product) they differ by at most a few
-1e-15 relative per call on normal(0, 1) inputs; whole-run reports, merged
-sizes and kept sets are unchanged.
+matrix is ever formed.  Heads run one at a time through one float64 (n, n)
+score buffer, so a call holds exactly 8n² bytes of scores for n tokens.
+Outputs are bit-identical to the same arithmetic on all heads at once.
+Against the normalise-then-multiply form (scaled scores, shifted by the
+exact row max, normalised rows, then the boosted value product) they differ
+by at most a few 1e-15 relative per call on normal(0, 1) inputs; whole-run
+reports, merged sizes and kept sets are unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -49,12 +48,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
 from .errors import ShapeError
 from .merging import size_boost
+from .tokens import strict_index
 
 _GOLDEN = 0x9E3779B97F4A7C15
 SEED_LIMIT = 1 << 64  # model seeds lie in [0, SEED_LIMIT)
@@ -66,9 +65,6 @@ STAGE_TEXT = 2
 STAGE_CONNECTOR = 3
 
 FF_EXPANSION = 2
-
-# Bytes of float64 attention scores held at once; see attention.
-SCORE_BLOCK_BYTES = 8 << 20
 
 # Largest bound max ||q_i|| * max ||k_j|| of a head that attention exponentiates
 # unshifted; see attention.  Every exponent of such a head lies in
@@ -124,7 +120,7 @@ class ToyModelConfig:
 
     def __post_init__(self):
         for name in ("d", "heads", "seed", "text_len"):
-            object.__setattr__(self, name, index(getattr(self, name)))
+            object.__setattr__(self, name, strict_index(getattr(self, name)))
         if self.d < 1 or self.heads < 1 or self.d % self.heads != 0:
             raise ShapeError(f"d={self.d} must be a positive multiple of heads={self.heads}")
         if self.text_len < 0:
@@ -231,11 +227,10 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     q = (x @ wq) / sqrt(dh), k = x @ wk and v = merging.size_boost(x @ wv,
     sizes) are formed once for all heads, q and k as (heads, n, dh) views
     and v in a (heads, n, dh + 1) buffer holding v' = [v, 1].  Heads then
-    run in groups of g = max(1, min(heads, SCORE_BLOCK_BYTES // 8n²))
-    through one (g, n, n) score buffer: q @ k.T writes the scores s into
-    it, softmax_rows exponentiates it in place, and r = exp(s) @ v' holds
-    the numerator and the row sum together, so the output is
-    r[..., :dh] / r[..., dh:].
+    run one at a time through one (n, n) score buffer: q[h] @ k[h].T writes
+    the scores s into it, softmax_rows exponentiates it in place, and
+    r = exp(s) @ v'[h] holds the numerator and the row sum together, so the
+    head's output is r[:, :dh] / r[:, dh:].
 
     A head with max_i ||q_i||² * max_j ||k_j||² <= SHIFT_MAX² has every
     score within SHIFT_MAX of 0 (Cauchy–Schwarz), so its terms lie in
@@ -244,13 +239,12 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     raw pixels) has _shift_by_row_max subtract its exact row max in the
     block before the exp.  The choice costs n·dh operations per head and is
     made before the score product, so no score is computed twice and score
-    memory peaks at max(SCORE_BLOCK_BYTES, 8n²) bytes either way.  Each
-    head's arithmetic is that of the all-heads form.  Against the form that
-    shifts by the exact row max and normalises the rows before the value
-    product, one call differs by at most a few 1e-15 relative, on
-    normal(0, 1) inputs as at bounds near SHIFT_MAX, and by about 5e-14 on
-    exact-shift heads of uniform(0, 100) tokens, where each form is about
-    1e-13 from a long-double reference.
+    memory is 8n² bytes either way.  Each head's arithmetic is that of the
+    all-heads form.  Against the form that shifts by the exact row max and
+    normalises the rows before the value product, one call differs by at
+    most a few 1e-15 relative, on normal(0, 1) inputs as at bounds near
+    SHIFT_MAX, and by about 5e-14 on exact-shift heads of uniform(0, 100)
+    tokens, where each form is about 1e-13 from a long-double reference.
     """
     n, d = x.shape
     if n == 0:
@@ -263,19 +257,14 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     if sizes is not None:
         va[..., :dh] = size_boost(va[..., :dh], sizes)
     qq, kk = (np.einsum("hnc,hnc->hn", t, t).max(axis=-1) for t in (q, k))
-    exact = [h for h in range(heads) if qq[h] * kk[h] > SHIFT_MAX ** 2]
-    g = max(1, min(heads, SCORE_BLOCK_BYTES // (8 * n * n)))
-    scores = np.empty((g, n, n))
+    scores = np.empty((n, n))
     out = np.empty((heads, n, dh))
-    for h0 in range(0, heads, g):
-        h1 = min(h0 + g, heads)
-        s = scores[:h1 - h0]
-        np.matmul(q[h0:h1], k[h0:h1].mT, out=s)
-        for h in exact:
-            if h0 <= h < h1:
-                _shift_by_row_max(s[h - h0])
-        r = softmax_rows(s) @ va[h0:h1]
-        np.divide(r[..., :dh], r[..., dh:], out=out[h0:h1])
+    for h in range(heads):
+        np.matmul(q[h], k[h].T, out=scores)
+        if qq[h] * kk[h] > SHIFT_MAX ** 2:
+            _shift_by_row_max(scores)
+        r = softmax_rows(scores) @ va[h]
+        np.divide(r[:, :dh], r[:, dh:], out=out[h])
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

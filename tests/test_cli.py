@@ -37,6 +37,15 @@ def test_spectrum_emits_kept_and_heatmap(grid_file, tmp_path):
     assert heat.exists()
 
 
+def test_spectrum_mask_needs_a_heatmap(grid_file, tmp_path, capsys):
+    mask = tmp_path / "mask.pgm"
+    assert run(["spectrum", grid_file, "--mask", mask]) == 1
+    # refused before the input is read, so a missing input changes nothing
+    assert run(["spectrum", tmp_path / "absent.luvc", "--mask", mask]) == 1
+    assert not mask.exists()
+    assert capsys.readouterr().err.count("usage error: --mask needs --heatmap") == 2
+
+
 def test_spectrum_keep_zero(grid_file, tmp_path, capsys):
     assert run(["spectrum", grid_file, "--keep", 0]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -218,8 +227,13 @@ def test_usage_errors_exit_1(capsys):
                  ["bench", "--sizes", 16],
                  ["bench", "--sizes", "16,16"],
                  ["bench", "--sizes", "1,16"],
+                 ["bench", "--sizes", "3,5"],
+                 ["bench", "--sizes", "16,20"],
                  ["bench", "--m", -1]):
         assert run(argv) == 1, argv
+    for ratio in (0, -1, 2, "nan"):
+        for argv in (["spectrum", "g.luvc"], ["simulate", "g.luvc", "--schedule", "s.json"]):
+            assert run(argv + ["--sigma-ratio", ratio]) == 1, (argv, ratio)
     assert capsys.readouterr().err != ""
 
 
@@ -237,6 +251,10 @@ def test_corrupt_grid_exits_2(tmp_path, capsys):
     path.write_bytes(b'{"schema": 1, "h": 1, "w": 2, "d": 1, "data": [1, \xff], "sizes": [1, 1]}')
     assert run(["spectrum", path]) == 2
     assert capsys.readouterr().err.startswith("data error")
+    # a JSON boolean is not a dimension, although operator.index takes it
+    path.write_text('{"schema": 1, "h": true, "w": 2, "d": 1, "data": [1, 2], "sizes": [1, 1]}')
+    assert run(["spectrum", path]) == 2
+    assert capsys.readouterr().err.startswith("data error: grid JSON")
     path.write_text('{"schema": 1, "h": 2, "w": 2, "d": 1, "data": [1, NaN, 0, 2], '
                     '"sizes": [1, 1, 1, 1]}')
     assert run(["spectrum", path]) == 2
@@ -270,8 +288,16 @@ def test_corrupt_schedule_exits_2(grid_file, tmp_path, capsys):
         model = {"d": 8, "heads": 2, "seed": seed}
         bad.write_text(json.dumps({"schema": 1, "model": model, "schedule": {}}))
         assert run(["simulate", grid_file, "--schedule", bad]) == 2, seed
+    # a JSON boolean is not a count or a ratio, although operator.index takes it
+    model = {"d": 8, "heads": 2}
+    for m, schedule in (({"d": 8, "heads": True}, {}), (model, {"m": True}),
+                        (model, {"enc_layers": False}), (model, {"sigma_ratio": True}),
+                        (model, {"merge_pairs": [[False, True]]}),
+                        (model, {"keep_ladder": [True, False]})):
+        bad.write_text(json.dumps({"schema": 1, "model": m, "schedule": schedule}))
+        assert run(["simulate", grid_file, "--schedule", bad]) == 2, (m, schedule)
     err = capsys.readouterr().err
-    assert err.count("data error: schedule JSON") == 9
+    assert err.count("data error: schedule JSON") == 15
 
 
 def test_text_len_beyond_any_array_exits_2(grid_file, tmp_path, capsys):

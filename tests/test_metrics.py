@@ -149,3 +149,17 @@ def test_report_rejects_bad_schema(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             CompressionReport.load(path)
+    # a JSON boolean is not a count, although operator.index takes it
+    for key in ("layer", "visual", "text", "base_visual"):
+        doc = report_fixture().to_doc()
+        doc["per_layer_counts"][0][key] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="True"):
+            CompressionReport.load(path)
+    for key in ("flops_base", "flops_compressed", "similarity_ops"):
+        doc = report_fixture().to_doc()
+        doc["flops_compressed"] = 0  # so that a count of 1 would be a valid report
+        doc[key] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="True"):
+            CompressionReport.load(path)

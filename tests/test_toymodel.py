@@ -225,44 +225,41 @@ def test_pipeline_runs_stay_on_the_folded_path(exact_shifts):
 
 
 @pytest.mark.parametrize("sized", [False, True])
-def test_attention_is_bit_identical_for_every_head_group(monkeypatch, sized):
-    heads, d, n = 4, 32, 20
+def test_attention_runs_one_head_at_a_time_bit_identically(monkeypatch, sized):
+    heads, d = 4, 32
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
     rng = np.random.default_rng(5)
-    sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
-    groups = []
+    blocks = []
     real_softmax = toymodel.softmax_rows
 
     def counting_softmax(s):
-        groups.append(s.shape[0])
+        blocks.append(s.shape)
         return real_softmax(s)
 
     monkeypatch.setattr(toymodel, "softmax_rows", counting_softmax)
-    # folded heads, then heads shifted by their exact row max
-    for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
-        want = batched_attention(x, lw, heads, sizes)
-        for g, expect in ((1, [1, 1, 1, 1]), (2, [2, 2]), (3, [3, 1]), (4, [4])):
-            monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", g * 8 * n * n)
-            groups.clear()
-            assert np.array_equal(attention(x, lw, heads, sizes), want), g
-            assert groups == expect
-        monkeypatch.setattr(toymodel, "SCORE_BLOCK_BYTES", 0)  # never fewer than one head
-        assert np.array_equal(attention(x, lw, heads, sizes), want)
+    for n in (1, 2, 20, 33, 257):
+        sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
+        # folded heads, then heads shifted by their exact row max
+        for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+            blocks.clear()
+            assert np.array_equal(attention(x, lw, heads, sizes),
+                                  batched_attention(x, lw, heads, sizes)), n
+            assert blocks == [(n, n)] * heads
 
 
 def test_attention_holds_one_score_block():
-    n, d, heads = 1024, 64, 4
-    lw = layer_weights(ToyModelConfig(d=d, heads=heads), STAGE_ENCODER, 0)
-    rng = np.random.default_rng(0)
-    # folded heads, then heads shifted by their exact row max
-    for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
-        tracemalloc.start()
-        try:
-            attention(x, lw, heads)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 8 * n * n, peak
+    for n, d, heads in ((512, 32, 4), (1024, 64, 4)):
+        lw = layer_weights(ToyModelConfig(d=d, heads=heads), STAGE_ENCODER, 0)
+        rng = np.random.default_rng(0)
+        # folded heads, then heads shifted by their exact row max
+        for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+            tracemalloc.start()
+            try:
+                attention(x, lw, heads)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 8 * n * n, (n, peak)
 
 
 def test_attention_refuses_bad_sizes():
