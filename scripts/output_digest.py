@@ -4,8 +4,10 @@ Compare its lines across two trees to show that outputs stay bit-identical:
 `PYTHONPATH=src python scripts/output_digest.py`.  Families: merge outputs
 (many grid sizes, zero tokens, tied features, scales 1e-200 to 1e3);
 spectral_prune energies and kept sets; run_experiment reports without
-timings_ms (demo and 32x32x64 schedules, seeds 0-4); `tokcomp spectrum`
-stdout on the toolkit_ops grid and DCT image, and the image's kept set.
+timings_ms (demo and 32x32x64 schedules, seeds 0-4); the documents that
+`tokcomp spectrum` prints for the toolkit_ops grid and DCT image, re-dumped
+with sorted keys so that only their content counts, and the image's kept
+set.
 Over the same runs as the reports, the model families hash the merged sizes
 of encoder_forward, the kept positions of every prune, and the encoder
 output with the final LLM hidden states.  toymodel.attention hashes single
@@ -121,14 +123,19 @@ def spectrum_stdouts():
             yield stdout(["spectrum", grid]), stdout(["spectrum", image, "--feat", "dct"])
 
 
+def canonical(text):
+    """A JSON document's content, whatever whitespace it was written with."""
+    return json.dumps(json.loads(text), sort_keys=True).encode()
+
+
 def main():
     runs = list(spectrum_stdouts())
     models = list(model_runs())
     families = {
         "merge": merge_outputs(), "spectral_prune": spectral_outputs(),
         "reports": (json.dumps(doc, sort_keys=True).encode() for doc, *_ in models),
-        "cli.spectrum.grid": (g.encode() for g, _ in runs),
-        "cli.spectrum.dct": (t.encode() for _, t in runs),
+        "cli.spectrum.grid": (canonical(g) for g, _ in runs),
+        "cli.spectrum.dct": (canonical(t) for _, t in runs),
         "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs),
         "model.sizes": (enc.sizes.tobytes() for _, enc, _, _ in models),
         "model.kept": (k.tobytes() for _, _, kept, _ in models for k in kept),

@@ -86,7 +86,7 @@ def _bench_sizes(text: str) -> list[int]:
 
 
 def _emit_json(doc, out_path) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)
     if out_path is None:
         print(text)
     else:

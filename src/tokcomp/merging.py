@@ -10,6 +10,17 @@ H x W grid to (H-m) x (W-m) while conserving the total merged size.
 
 All tie-breaks go to the lower index, so merge results are bit-reproducible.
 Similarity is cosine over the token features themselves.
+
+The matcher is blocked: it normalises the rows of one block of lanes at a
+time, forms that block's similarities, and keeps only each A token's best B
+index and similarity.  A block holds as many lanes as fit in
+MATCH_BLOCK_BYTES (8 bytes per feature value and per similarity), and its
+two buffers are reused from block to block, so a pass's temporaries are
+bounded by one block plus the (lanes, ceil(n/2)) matches and the output.
+Blocking changes no number: every similarity is the same dot product of the
+same unit rows.  Survivors are gathered token-major, so a pass returns the
+transpose of a C-contiguous array: the orthogonal pass after it reads whole
+lanes, and a width-then-height step on a C-contiguous grid returns one.
 """
 
 from __future__ import annotations
@@ -21,13 +32,17 @@ import numpy as np
 from .errors import ShapeError
 from .tokens import TokenGrid
 
+# Bytes of input rows plus similarities that one matching block may touch:
+# half of a 2 MiB per-core L2, so a block's temporaries stay in cache.
+MATCH_BLOCK_BYTES = 1 << 20
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    # np.linalg.norm's arithmetic, with its temporaries folded into one buffer.
-    # Rows whose norm is 0 (all zero, or squares that underflow to 0) divide
-    # to nan/inf; clearing just those rows after the divide makes them 0
-    # without a fill pass over the whole buffer.
-    out = np.multiply(x, x)
+
+def _unit_rows(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # np.linalg.norm's arithmetic, with its temporaries folded into one buffer
+    # (`out`, when given).  Rows whose norm is 0 (all zero, or squares that
+    # underflow to 0) divide to nan/inf; clearing just those rows after the
+    # divide makes them 0 without a fill pass over the whole buffer.
+    out = np.multiply(x, x, out=out)
     norms = np.sqrt(np.add.reduce(out, axis=-1, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(x, norms, out=out)
@@ -38,6 +53,36 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 def lane_match_ops(lane_len: int) -> int:
     """Pairwise similarity evaluations one lane costs: |A| * |B|."""
     return ((lane_len + 1) // 2) * (lane_len // 2)
+
+
+def check_lane_merges(n: int, m: int) -> None:
+    """Refuse m merges out of a lane of n tokens: each absorbed A token needs
+    a B token of its own."""
+    if m < 0 or n < 2 * m:
+        raise ShapeError(f"lane of {n} tokens cannot absorb {m} merges")
+
+
+def _best_matches(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each A token's most similar B index and that similarity: (L, ceil(n/2)) each.
+
+    Lanes are matched one block at a time, through two buffers that are
+    reused from block to block and freed on return.
+    """
+    lanes, n, d = x.shape
+    half = (n + 1) // 2
+    block = max(1, min(lanes, MATCH_BLOCK_BYTES // (8 * (n * d + lane_match_ops(n)))))
+    # the unit rows keep x's memory order, so lanes that are the columns of
+    # a row-major grid stream through both arrays alike
+    unit_buf, sims_buf = np.empty_like(x[:block]), np.empty((block, half, n // 2))
+    best_b, best_sim = np.empty((lanes, half), dtype=np.intp), np.empty((lanes, half))
+    rows, a_idx = np.arange(block), np.arange(half)
+    for lo in range(0, lanes, block):
+        k = min(block, lanes - lo)
+        unit = _unit_rows(x[lo:lo + k], unit_buf[:k])
+        sims = np.matmul(unit[:, 0::2], unit[:, 1::2].transpose(0, 2, 1), out=sims_buf[:k])
+        b = np.argmax(sims, axis=-1, out=best_b[lo:lo + k])
+        best_sim[lo:lo + k] = sims[rows[:k, None], a_idx, b]
+    return best_b, best_sim
 
 
 def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
@@ -52,24 +97,21 @@ def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
     lanes, n, d = x.shape
-    if m < 0 or n < 2 * m:
-        raise ShapeError(f"lane of {n} tokens cannot absorb {m} merges")
+    check_lane_merges(n, m)
     if m == 0:
         return x.copy(), sizes.copy()
-    unit = _unit_rows(x)
-    sims = unit[:, 0::2] @ unit[:, 1::2].transpose(0, 2, 1)
-    best_b = np.argmax(sims, axis=-1)
-    best_sim = np.take_along_axis(sims, best_b[..., None], axis=-1)[..., 0]
+    best_b, best_sim = _best_matches(x)
     chosen = np.sort(np.argsort(-best_sim, axis=-1, kind="stable")[:, :m], axis=-1)
-    src = 2 * chosen
-    dst = 2 * np.take_along_axis(best_b, chosen, axis=-1) + 1
     rows = np.arange(lanes)
+    src = 2 * chosen
+    dst = 2 * best_b[rows[:, None], chosen] + 1
     keep = np.ones((lanes, n), dtype=bool)
     keep[rows[:, None], src] = False
-    out, out_sizes = x[keep].reshape(lanes, n - m, d), sizes[keep].reshape(lanes, n - m)
+    kept = np.nonzero(keep)[1].reshape(lanes, n - m).T  # token-major: module docstring
+    out, out_sizes = x[rows, kept].transpose(1, 0, 2), sizes[rows, kept].T
     # A tokens only give and B tokens only take, so the absorbs read A from
     # the input and update B where it sits among the survivors
-    kept_dst = dst - np.take_along_axis(np.cumsum(~keep, axis=-1), dst, axis=-1)
+    kept_dst = dst - np.cumsum(~keep, axis=-1)[rows[:, None], dst]
     for j in range(m):
         a, b = src[:, j], kept_dst[:, j]
         total = sizes[rows, a] + out_sizes[rows, b]

@@ -112,7 +112,7 @@ class CompressionReport:
 
     def save(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_doc(), f, indent=2)
+            f.write(json.dumps(self.to_doc()) + "\n")
 
     @classmethod
     def load(cls, path) -> "CompressionReport":

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ProjectorCompatibilityError, ScheduleError, ShapeError
-from .merging import lane_match_ops, merge_height, merge_width
+from .merging import check_lane_merges, lane_match_ops, merge_height, merge_width
 from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ratio
 from .spectral import FILTER_MODES, spectral_prune
 from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc, strict_index
@@ -96,6 +96,9 @@ class CompressionSchedule:
 
     def resolved_ladder(self, n_visual: int) -> tuple[int, ...]:
         if self.keep_ladder is not None:
+            if self.keep_ladder and self.keep_ladder[0] > n_visual:
+                raise ScheduleError(f"keep_ladder starts at {self.keep_ladder[0]} "
+                                    f"but only {n_visual} visual tokens exist")
             return self.keep_ladder
         if n_visual == 0:
             # degenerate no-visual run: every prune is a no-op
@@ -157,6 +160,12 @@ def encoder_forward(grid: TokenGrid, cfg: ToyModelConfig,
     return out
 
 
+def _check_foldable(what: str, h: int, w: int, factor: int) -> None:
+    if h % factor or w % factor:
+        raise ProjectorCompatibilityError(
+            f"{what} {h}x{w} is not divisible by shuffle factor {factor}")
+
+
 def projector_pixel_shuffle(grid: TokenGrid, factor: int) -> TokenSequence:
     """Fold factor x factor neighborhoods into channel depth.
 
@@ -167,9 +176,7 @@ def projector_pixel_shuffle(grid: TokenGrid, factor: int) -> TokenSequence:
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if grid.h % factor or grid.w % factor:
-        raise ProjectorCompatibilityError(
-            f"grid {grid.h}x{grid.w} is not divisible by shuffle factor {factor}")
+    _check_foldable("grid", grid.h, grid.w, factor)
     h2, w2 = grid.h // factor, grid.w // factor
     folded = (grid.data
               .reshape(h2, factor, w2, factor, grid.d)
@@ -190,10 +197,7 @@ def llm_forward(visual: TokenSequence, text: TokenSequence, cfg: ToyModelConfig,
     """
     if visual.d != cfg.d or text.d != cfg.d:
         raise ShapeError("visual/text feature dims must match model dim")
-    ladder = sched.resolved_ladder(visual.n)
-    keep_at = dict(zip(sched.spu_layers, ladder))
-    if ladder and ladder[0] > visual.n:
-        raise ScheduleError(f"keep_ladder starts at {ladder[0]} but only {visual.n} visual tokens exist")
+    keep_at = dict(zip(sched.spu_layers, sched.resolved_ladder(visual.n)))
     base = visual.n if base_visual is None else base_visual
 
     seq = concat_tokens(visual, text)
@@ -225,11 +229,25 @@ def _connect(seq: TokenSequence, cfg: ToyModelConfig) -> TokenSequence:
 
 def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
                    sched: CompressionSchedule) -> CompressionReport:
-    """encoder -> pixel shuffle -> connector -> LLM, with full accounting."""
+    """encoder -> pixel shuffle -> connector -> LLM, with full accounting.
+
+    The schedule is checked against the grid before any layer runs: a run
+    with no layers, a lane too short for its merges, a merged grid that the
+    projector cannot fold and a keep ladder that the visual tokens cannot
+    feed are refused up front, with the errors the stages would raise.
+    """
+    if sched.enc_layers == 0 and sched.llm_layers == 0:
+        raise ScheduleError("schedule runs no encoder or LLM layer, so there is nothing to report")
     f = sched.projector_factor
-    if grid.h % f or grid.w % f:
-        raise ProjectorCompatibilityError(
-            f"input grid {grid.h}x{grid.w} is not divisible by shuffle factor {f}")
+    _check_foldable("input grid", grid.h, grid.w, f)
+    h, w = grid.h, grid.w
+    for _ in sched.merge_pairs:  # a width pass, then a height pass
+        check_lane_merges(w, sched.m)
+        w -= sched.m
+        check_lane_merges(h, sched.m)
+        h -= sched.m
+    _check_foldable("merged grid", h, w, f)
+    sched.resolved_ladder((h // f) * (w // f))
     t0 = time.perf_counter()
     enc_grid, enc_trace, sim_ops = _encoder_run(grid, cfg, sched)
     t1 = time.perf_counter()

@@ -19,8 +19,11 @@ DC weight 1), which keeps real inputs real after inverse transform.
 Transforms are `np.fft.fft` / `np.fft.ifft` along the token axis, which
 handle any token count (counts after merging are rarely powers of two).
 A spectrum is a ``ComplexSequence``, one read-only (n, d) complex128 array;
-a mask is a read-only (n,) coefficient array, and `apply_filter` is the one
-place that checks a mask's length and its [0, 1] range.
+`dft_forward`, `dft_inverse` and `apply_filter` wrap the fresh array they
+compute with ``ComplexSequence._adopt``, which freezes it in place instead
+of copying it.  A mask is a read-only (n,) coefficient array, and
+`apply_filter` is the one place that checks a mask's length and its [0, 1]
+range.
 Correctness is pinned to a direct-summation oracle in the test suite, not to
 the fast path.
 """
@@ -42,7 +45,7 @@ def dft_forward(seq: TokenSequence) -> ComplexSequence:
     """X[k] = sum_n x[n] exp(-2i*pi*k*n/N) per channel, along the token axis."""
     if seq.n < 1:
         raise ShapeError("dft_forward needs at least one token")
-    return ComplexSequence(seq.n, seq.d, np.fft.fft(seq.data, axis=0))
+    return ComplexSequence._adopt(np.fft.fft(seq.data, axis=0))
 
 
 def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
@@ -54,7 +57,7 @@ def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
     """
     if freq.n == 0:
         return freq
-    return ComplexSequence(freq.n, freq.d, np.fft.ifft(freq.data, axis=0))
+    return ComplexSequence._adopt(np.fft.ifft(freq.data, axis=0))
 
 
 def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> np.ndarray:
@@ -95,7 +98,7 @@ def apply_filter(freq: ComplexSequence, coeffs: np.ndarray) -> ComplexSequence:
         raise ShapeError(f"spectrum has {freq.n} bins, filter shape {coeffs.shape}")
     if not np.all((coeffs >= 0) & (coeffs <= 1)):  # NaN fails
         raise ValueError("filter coefficients must lie in [0, 1]")
-    return ComplexSequence(freq.n, freq.d, freq.data * coeffs[:, None])
+    return ComplexSequence._adopt(freq.data * coeffs[:, None])
 
 
 def token_energy(filtered: ComplexSequence) -> np.ndarray:

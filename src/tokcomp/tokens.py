@@ -12,7 +12,10 @@ Three value types:
 
 Containers are immutable after construction (arrays are copied in and marked
 read-only), and the token containers hold finite values only; every
-operation here is a pure function returning a new value.
+operation here is a pure function returning a new value.  The private
+``_adopt`` constructors of ``TokenGrid`` and ``ComplexSequence`` wrap arrays
+that no one else holds (a merge pass's output, a fresh np.fft result):
+they freeze them in place without the copy and the checks.
 
 Serialization: the LUVC1 binary grid format and a JSON alternative for tiny
 fixtures.  Byte layouts are documented in docs/formats.md.
@@ -175,6 +178,17 @@ class ComplexSequence:
         except ValueError as e:
             raise ShapeError(f"complex data does not fit n={self.n} d={self.d}: {e}") from e
         object.__setattr__(self, "data", _frozen(data, self.data))
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray) -> "ComplexSequence":
+        """Wrap an (n, d) complex128 array no one else holds, such as a fresh
+        np.fft result: frozen in place, neither copied nor re-checked."""
+        seq = object.__new__(cls)
+        n, d = data.shape
+        for name, value in (("n", n), ("d", d), ("data", data)):
+            object.__setattr__(seq, name, value)
+        data.flags.writeable = False
+        return seq
 
 
 def grid_from_sequence(seq: TokenSequence, h: int, w: int) -> TokenGrid:

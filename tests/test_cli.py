@@ -204,6 +204,41 @@ def test_bench_exponents(tmp_path):
     assert abs(doc["exponent_1d"] - 2.0) <= 0.1
 
 
+def one_line_document(text):
+    """The document in `text`, which must be one compact JSON line and its newline."""
+    assert text.endswith("\n") and text.count("\n") == 1, text[:200]
+    doc = json.loads(text)
+    assert json.dumps(doc) + "\n" == text
+    return doc
+
+
+def test_json_documents_are_one_line(grid_file, tmp_path, capsys):
+    cfg = ToyModelConfig(d=8, heads=2, seed=0, text_len=4)
+    sched = CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=1, llm_layers=4,
+                                l0=1, l_delta=2)
+    spath = tmp_path / "sched.json"
+    spath.write_text(json.dumps(schedule_to_doc(cfg, sched)))
+    merged = tmp_path / "merged.luvc"
+    printed = [["merge", grid_file, "--m", 1, "--out", merged],
+               ["baseline", grid_file, "--kind", "bilinear", "--target-h", 2,
+                "--target-w", 2, "--out", merged]]
+    to_stdout_or_out = [["spectrum", grid_file, "--keep", 5], ["bench", "--sizes", "16,64"],
+                        ["simulate", grid_file, "--schedule", spath]]
+    for argv in printed + to_stdout_or_out:
+        assert run(argv) == 0, argv
+        assert one_line_document(capsys.readouterr().out)["schema"] == 1
+    for argv in to_stdout_or_out:
+        path = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--out", path]) == 0, argv
+        assert one_line_document(path.read_text())["schema"] == 1
+    report = CompressionReport.load(tmp_path / "simulate.json")
+    saved = tmp_path / "saved.json"
+    report.save(saved)
+    assert one_line_document(saved.read_text()) == json.loads(json.dumps(report.to_doc()))
+    assert CompressionReport.load(saved) == report
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["unknown-command"]) == 1
     assert run([]) == 1
@@ -312,6 +347,20 @@ def test_semantic_errors_exit_2(grid_file, capsys):
     assert run(["spectrum", grid_file, "--keep", 99]) == 2
     assert run(["merge", grid_file, "--m", 99, "--out", "/dev/null"]) == 2
     capsys.readouterr()
+
+
+def test_schedule_that_cannot_fit_the_grid_exits_2(grid_file, tmp_path, capsys):
+    sched = tmp_path / "sched.json"
+    model = {"d": 8, "heads": 2}
+    for schedule, message in (
+            ({"enc_layers": 0, "llm_layers": 0}, "no encoder or LLM layer"),
+            ({"enc_layers": 2, "merge_pairs": [[0, 1]], "m": 3}, "lane of 4 tokens"),
+            ({"enc_layers": 2, "merge_pairs": [[0, 1]], "m": 1, "projector_factor": 2},
+             "merged grid 3x3")):
+        sched.write_text(json.dumps({"schema": 1, "model": model, "schedule": schedule}))
+        assert run(["simulate", grid_file, "--schedule", sched]) == 2, schedule
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err, err
 
 
 def test_internal_errors_exit_3_with_a_traceback(grid_file, monkeypatch, capsys):

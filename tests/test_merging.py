@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_grid_merge_width, brute_lane_merge
+from tokcomp import merging
 from tokcomp.errors import ShapeError
-from tokcomp.merging import (_unit_rows, lane_match_ops, merge_flat, merge_height,
+from tokcomp.merging import (_merge_lanes, _unit_rows, lane_match_ops, merge_flat, merge_height,
                              merge_step, merge_width, similarity_op_count)
 from tokcomp.tokens import TokenGrid
 
@@ -73,6 +76,59 @@ def test_lane_merge_matches_brute_force(half, seed):
     exp_f, exp_s = brute_grid_merge_width(data, grid_sizes, m)
     assert np.array_equal(out.data, exp_f)
     assert np.array_equal(out.sizes, exp_s)
+
+
+def lane_inputs(seed, lanes, n, d):
+    """(normal features, one-hot tie features, sizes) for `lanes` lanes of n tokens."""
+    rng = np.random.default_rng(seed)
+    normal = rng.normal(size=(lanes, n, d))
+    ties = np.eye(d)[rng.integers(0, d, (lanes, n))] * rng.integers(-2, 3, (lanes, n, 1))
+    return normal, ties, rng.integers(1, 4, size=(lanes, n)).astype(float)
+
+
+@pytest.mark.parametrize("lanes_per_block", [1, 2, 3, None])
+def test_blocked_matcher_is_bit_identical_to_one_block(monkeypatch, lanes_per_block):
+    # 7 lanes leave a short last block for 2 and 3 lanes per block; the
+    # transposed input is how a height pass sees its lanes
+    lanes, n, d, m = 7, 10, 3, 3
+    normal, ties, sizes = lane_inputs(8, lanes, n, d)
+    cases = [(normal, sizes), (ties, sizes),
+             (normal.transpose(1, 0, 2).copy().transpose(1, 0, 2), sizes)]
+    whole = [_merge_lanes(x, s, m) for x, s in cases]
+    lane_bytes = 8 * (n * d + lane_match_ops(n))
+    assert merging.MATCH_BLOCK_BYTES >= lanes * lane_bytes  # the default is one block here
+    budget = 1 if lanes_per_block == 1 else (lanes_per_block or lanes) * lane_bytes
+    monkeypatch.setattr(merging, "MATCH_BLOCK_BYTES", budget)
+    for (x, s), (exp_f, exp_s) in zip(cases, whole):
+        got_f, got_s = _merge_lanes(x, s, m)
+        assert np.array_equal(got_f, exp_f) and np.array_equal(got_s, exp_s)
+    for lane in range(lanes):  # and each lane alone is a block of one
+        got_f, got_s = merge_flat(ties[lane], sizes[lane], m)
+        assert np.array_equal(got_f, whole[1][0][lane]) and np.array_equal(got_s, whole[1][1][lane])
+
+
+def test_merge_step_holds_one_block_of_temporaries():
+    # 96 lanes of 96 x 32 span several blocks; the peak is the two pass
+    # outputs plus one block, not whole-grid unit rows and similarities
+    grid = rand_grid(6, 96, 96, 32)
+    assert 96 * 8 * (96 * 32 + lane_match_ops(96)) > 3 * merging.MATCH_BLOCK_BYTES
+    merge_step(grid, 2)
+    tracemalloc.start()
+    try:
+        merge_step(grid, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * grid.data.nbytes
+
+
+def test_each_pass_hands_the_next_one_whole_lanes():
+    grid = rand_grid(7, 6, 8, 3)
+    wide = merge_width(grid, 1)
+    assert wide.transpose().data.flags.c_contiguous  # the height pass's lanes
+    step = merge_height(wide, 1)
+    assert step.data.flags.c_contiguous
+    assert np.array_equal(step.data, merge_step(grid, 1).data)
 
 
 def test_zero_norm_tokens_have_zero_unit_rows():

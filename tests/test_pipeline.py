@@ -277,6 +277,36 @@ def test_run_experiment_refuses_negative_text_len():
         run_experiment(grid, -3, cfg, sched)
 
 
+@pytest.mark.parametrize("sched,error,message", [
+    (CompressionSchedule(enc_layers=0, llm_layers=0), ScheduleError, "no encoder or LLM layer"),
+    (CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=5, llm_layers=2),
+     ShapeError, "lane of 8 tokens cannot absorb 5 merges"),
+    (CompressionSchedule(enc_layers=4, merge_pairs=((0, 1), (2, 3)), m=3, llm_layers=2),
+     ShapeError, "lane of 5 tokens cannot absorb 3 merges"),  # the second pair's width pass
+    (CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=1, llm_layers=2,
+                         projector_factor=2),
+     ProjectorCompatibilityError, "merged grid 7x7 is not divisible by shuffle factor 2"),
+    (CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=2, llm_layers=4, l0=1,
+                         l_delta=2, keep_ladder=(12, 0), projector_factor=2),
+     ScheduleError, "keep_ladder starts at 12 but only 9 visual tokens exist"),
+    (CompressionSchedule(enc_layers=2, merge_pairs=((0, 1),), m=2, llm_layers=12, l0=0,
+                         l_delta=1, projector_factor=2),
+     ScheduleError, "9 visual tokens cannot feed 12 strict pruning steps"),
+])
+def test_schedule_that_cannot_fit_the_grid_is_refused_before_any_layer(
+        monkeypatch, sched, error, message):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return block_forward(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "block_forward", counting)
+    with pytest.raises(error, match=message):
+        run_experiment(rand_grid(9, 8, 8, 8), None, ToyModelConfig(d=8, heads=2), sched)
+    assert calls == []
+
+
 def test_report_matches_independent_recomputation():
     grid, cfg, sched = full_setup(2)
     report = run_experiment(grid, 4, cfg, sched)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,48 @@ def test_round_trip_and_parseval(n, d, seed):
     sig_energy = np.sum(data ** 2)
     bin_energy = np.sum(freq.data.real ** 2 + freq.data.imag ** 2) / n
     assert abs(sig_energy - bin_energy) / max(1.0, sig_energy) < 1e-9
+
+
+def test_transforms_freeze_their_fresh_arrays_in_place(monkeypatch):
+    data = np.random.default_rng(4).normal(size=(37, 5))
+    coeffs = make_filter(37, 9)
+    want_freq = np.fft.fft(data, axis=0)
+    want_filtered = want_freq * coeffs[:, None]
+    want_back = np.fft.ifft(want_filtered, axis=0)
+    fresh = []
+
+    def recording(real):
+        def call(*args, **kwargs):
+            fresh.append(real(*args, **kwargs))
+            return fresh[-1]
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
+    freq = dft_forward(TokenSequence.from_data(data))
+    filtered = apply_filter(freq, coeffs)
+    back = dft_inverse(filtered)
+    assert freq.data is fresh[0] and back.data is fresh[1]  # wrapped, not copied
+    for got, want in ((freq, want_freq), (filtered, want_filtered), (back, want_back)):
+        assert (got.n, got.d) == (37, 5)
+        assert got.data.dtype == np.complex128 and np.array_equal(got.data, want)
+        with pytest.raises(ValueError):
+            got.data[0, 0] = 0
+
+
+def test_spectral_prune_holds_about_two_spectra():
+    # the three spectra are wrapped, not copied, so the peak stays near the
+    # filtered spectrum plus its inverse (one spectrum is n * d * 16 bytes)
+    seq = rand_seq(12, 2304, 32)
+    spectrum_bytes = 2304 * 32 * 16
+    spectral_prune(seq, 0.25, 1152)
+    tracemalloc.start()
+    try:
+        spectral_prune(seq, 0.25, 1152)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * spectrum_bytes
 
 
 # -- filters ------------------------------------------------------------------
