@@ -8,6 +8,9 @@ timings_ms (demo and 32x32x64 schedules, seeds 0-4); the documents that
 `tokcomp spectrum` prints for the toolkit_ops grid and DCT image, re-dumped
 with sorted keys so that only their content counts, and the image's kept
 set.
+cli.files hashes every file that merge, baseline, spectrum (with heatmap
+and mask), simulate, bench and theory write, with the report's wall times
+blanked.
 Over the same runs as the reports, the model families hash the merged sizes
 of encoder_forward, the kept positions of every prune, and the encoder
 output with the final LLM hidden states.  toymodel.attention hashes single
@@ -20,6 +23,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -104,14 +108,16 @@ def model_runs():
             yield doc, pipeline.encoder_forward(grid, cfg, SCHEDULE), kept, hidden[0]
 
 
+def stdout(argv):
+    """What `tokcomp <argv>` prints; it must exit 0."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli_main(argv) == 0, argv
+    return buf.getvalue()
+
+
 def spectrum_stdouts():
     """(grid stdout, DCT image stdout) of `tokcomp spectrum` per seed."""
-    def stdout(argv):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert cli_main(argv) == 0, argv
-        return buf.getvalue()
-
     with tempfile.TemporaryDirectory() as tmp:
         grid, image = str(Path(tmp, "grid.luvc")), str(Path(tmp, "image.pgm"))
         yy, xx = np.mgrid[0:256, 0:256]
@@ -121,6 +127,33 @@ def spectrum_stdouts():
             pixels = np.clip(96 + 0.25 * (yy + xx) + rng.normal(0, 24, size=yy.shape), 0, 255)
             write_pgm(image, np.rint(pixels).astype(np.uint8))
             yield stdout(["spectrum", grid]), stdout(["spectrum", image, "--feat", "dct"])
+
+
+def cli_files():
+    """The bytes of every file the CLI writes for a fixed set of commands."""
+    with tempfile.TemporaryDirectory() as tmp:
+        def path(name):
+            return str(Path(tmp, name))
+
+        grid = TokenGrid.from_data(np.random.default_rng(0).normal(size=(16, 16, 32)))
+        write_luvc1(grid, path("grid.luvc"))
+        cfg = ToyModelConfig(d=32, heads=4, seed=0, text_len=8)
+        Path(path("sched.json")).write_text(json.dumps(pipeline.schedule_to_doc(cfg, SCHEDULE)))
+        commands = [
+            ["merge", path("grid.luvc"), "--m", "2", "--oim-steps", "3", "--out", path("merged")],
+            ["baseline", path("grid.luvc"), "--kind", "bilinear", "--target-h", "6",
+             "--target-w", "5", "--out", path("baseline")],
+            ["spectrum", path("grid.luvc"), "--heatmap", path("heat"), "--mask", path("mask"),
+             "--out", path("kept")],
+            ["simulate", path("grid.luvc"), "--schedule", path("sched.json"), "--out", path("report")],
+            ["bench", "--out", path("bench")],
+            ["theory", "--out", path("theory")]]
+        for argv in commands:
+            stdout(argv)
+        for name in ("merged", "baseline", "heat", "mask", "kept", "report", "bench", "theory"):
+            # wall times are the only bytes that may differ from run to run
+            yield re.sub(rb'"timings_ms": \{[^}]*\}', b'"timings_ms": {}',
+                         Path(path(name)).read_bytes())
 
 
 def canonical(text):
@@ -137,6 +170,7 @@ def main():
         "cli.spectrum.grid": (canonical(g) for g, _ in runs),
         "cli.spectrum.dct": (canonical(t) for _, t in runs),
         "cli.spectrum.dct.kept": (json.dumps(json.loads(t)["kept"]).encode() for _, t in runs),
+        "cli.files": cli_files(),
         "model.sizes": (enc.sizes.tobytes() for _, enc, _, _ in models),
         "model.kept": (k.tobytes() for _, _, kept, _ in models for k in kept),
         "model.hidden": (enc.data.tobytes() + h.tobytes() for _, enc, _, h in models),

@@ -6,8 +6,9 @@ merging), simulate (full pipeline run from a schedule JSON), baseline
 scaling sweep).  Exit codes: 0 success, 1 usage error, 2 data error (bad or
 unreadable input), 3 internal error (a bug; the traceback is printed).
 
-Inputs are sniffed by magic bytes: LUVC1 binary grids, JSON grid fixtures,
-or PGM/PPM images (featurized on the fly with --patch/--feat).
+Each input is read through one open and sniffed by its magic bytes: LUVC1
+binary grids, JSON grid fixtures, or PGM/PPM images (featurized on the fly
+with --patch/--feat), so pipes and FIFOs work as inputs.
 
 The parser is built once per process and reused; every parse starts from a
 fresh namespace, so cli_main can be called repeatedly in one process.
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import images, merging, pipeline, spectral, theory, toymodel
 from .metrics import LayerCount, reduction_ratio
-from .tokens import TokenGrid, load_grid, sequence_from_grid, write_luvc1
-from .tokens import read_luvc1  # noqa: F401  perfbench traces tokcomp.cli.read_luvc1
+from .tokens import TokenGrid, overwrite_file, parse_grid, read_bytes, sequence_from_grid
+from .tokens import read_luvc1, write_luvc1  # noqa: F401  perfbench traces both names here
 
 
 class _UsageError(Exception):
@@ -41,12 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_grid_arg(args) -> TokenGrid:
-    with open(args.input, "rb") as f:
-        head = f.read(2)
-    if head in (b"P2", b"P3", b"P5", b"P6"):
-        img = images.read_image(args.input)
-        return images.featurize_image(img, args.patch, args.feat)
-    return load_grid(args.input)
+    blob = read_bytes(args.input)
+    if blob[:2] in (b"P2", b"P3", b"P5", b"P6"):
+        return images.featurize_image(images.parse_image(blob), args.patch, args.feat)
+    return parse_grid(blob)
 
 
 def _int_at_least(low: int, below: int | None = None):
@@ -85,21 +84,13 @@ def _bench_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _emit_json(doc, out_path) -> None:
-    text = json.dumps(doc)
-    if out_path is None:
-        print(text)
-    else:
-        with open(out_path, "w") as f:
-            f.write(text + "\n")
-
-
-def _emit_text(text, out_path) -> None:
+def _emit(text: str, out_path=None) -> None:
+    """Write `text` to `out_path`, or to stdout when there is none."""
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w") as f:
-            f.write(text)
+        with overwrite_file(out_path) as f:
+            f.write(text.encode())
 
 
 def _add_input(sub) -> None:
@@ -126,7 +117,7 @@ def _cmd_spectrum(args) -> int:
         "kept": ranking.kept.tolist(),
         "energies": ranking.energies.tolist(),
     }
-    _emit_json(doc, args.out)
+    _emit(json.dumps(doc) + "\n", args.out)
     if args.heatmap is not None:
         images.emit_energy_heatmap(grid.h, grid.w, ranking, args.heatmap, args.mask)
     return 0
@@ -136,12 +127,14 @@ def _cmd_merge(args) -> int:
     grid = _load_grid_arg(args)
     before = grid.n_tokens
     for _ in range(args.oim_steps):
-        grid = merging.merge_step(grid, args.m)
+        # one pass at a time, so that a pass holds only its input and output
+        grid = merging.merge_width(grid, args.m)
+        grid = merging.merge_height(grid, args.m)
     write_luvc1(grid, args.out)
     retained = grid.n_tokens / before if before else 1.0
-    _emit_json({"schema": 1, "h": grid.h, "w": grid.w, "tokens_before": before,
-                "tokens_after": grid.n_tokens, "retained_fraction": retained,
-                "removed_fraction": 1.0 - retained}, None)
+    _emit(json.dumps({"schema": 1, "h": grid.h, "w": grid.w, "tokens_before": before,
+                      "tokens_after": grid.n_tokens, "retained_fraction": retained,
+                      "removed_fraction": 1.0 - retained}) + "\n")
     return 0
 
 
@@ -161,7 +154,7 @@ def _cmd_simulate(args) -> int:
         sched = replace(sched, **overrides)
     grid = _load_grid_arg(args)
     report = pipeline.run_experiment(grid, args.text_len, cfg, sched)
-    _emit_json(report.to_doc(), args.out)
+    _emit(json.dumps(report.to_doc()) + "\n", args.out)
     return 0
 
 
@@ -172,15 +165,15 @@ def _cmd_baseline(args) -> int:
     # single-stage summary so ratios are comparable with simulate runs
     trace = [LayerCount("encoder", 0, out.n_tokens, 0, grid.n_tokens)]
     retention, pruning = reduction_ratio(trace)
-    _emit_json({"schema": 1, "kind": args.kind, "h": out.h, "w": out.w,
-                "retention_ratio": retention, "pruning_ratio": pruning}, None)
+    _emit(json.dumps({"schema": 1, "kind": args.kind, "h": out.h, "w": out.w,
+                      "retention_ratio": retention, "pruning_ratio": pruning}) + "\n")
     return 0
 
 
 def _cmd_theory(args) -> int:
     trace = theory.smoothing_trace(*theory.random_smoothing_setup(args.n, args.seed), args.t)
     lines = ["t,ratio"] + [f"{t},{r:.17g}" for t, r in enumerate(trace.ratios)]
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -191,8 +184,8 @@ def _cmd_bench(args) -> int:
     def slope(counts):
         return float(np.polyfit(np.log(args.sizes), np.log(counts), 1)[0])
 
-    _emit_json({"schema": 1, "sizes": args.sizes, "ops_2d": ops2d, "ops_1d": ops1d,
-                "exponent_2d": slope(ops2d), "exponent_1d": slope(ops1d)}, args.out)
+    _emit(json.dumps({"schema": 1, "sizes": args.sizes, "ops_2d": ops2d, "ops_1d": ops1d,
+                      "exponent_2d": slope(ops2d), "exponent_1d": slope(ops1d)}) + "\n", args.out)
     return 0
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .spectral import EnergyRanking
-from .tokens import TokenGrid, overwrite_file
+from .tokens import TokenGrid, overwrite_file, read_bytes
 
 _WS = b" \t\r\n\x0b\x0c"
 FEATURE_MODES = ("raw", "dct")
@@ -85,8 +85,7 @@ def _header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def read_image(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        return parse_image(f.read())
+    return parse_image(read_bytes(path))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

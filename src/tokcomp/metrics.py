@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import FormatError
-from .tokens import read_json_doc, strict_index
+from .tokens import overwrite_file, read_json_doc, strict_index
 
 REPORT_SCHEMA = 1
 
@@ -111,8 +111,8 @@ class CompressionReport:
             raise FormatError(f"report JSON: {e}") from e
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(json.dumps(self.to_doc()) + "\n")
+        with overwrite_file(path) as f:
+            f.write(json.dumps(self.to_doc()).encode() + b"\n")
 
     @classmethod
     def load(cls, path) -> "CompressionReport":

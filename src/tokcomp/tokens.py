@@ -249,10 +249,14 @@ def write_luvc1(grid: TokenGrid, path) -> None:
         f.write(sizes)
 
 
-def read_luvc1(path) -> TokenGrid:
+def read_bytes(path) -> bytes:
+    """All the bytes at `path` through one open: pipes and FIFOs read like files."""
     with open(path, "rb") as f:
-        blob = f.read()
-    return parse_luvc1(blob)
+        return f.read()
+
+
+def read_luvc1(path) -> TokenGrid:
+    return parse_luvc1(read_bytes(path))
 
 
 def parse_luvc1(blob: bytes) -> TokenGrid:
@@ -284,8 +288,8 @@ def write_grid_json(grid: TokenGrid, path) -> None:
         "data": grid.data.reshape(-1).tolist(),
         "sizes": grid.sizes.reshape(-1).tolist(),
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    with overwrite_file(path) as f:
+        f.write(json.dumps(doc).encode() + b"\n")
 
 
 def _finite_number(text: str) -> float:
@@ -298,15 +302,25 @@ def _finite_number(text: str) -> float:
 def read_json_doc(path, what: str):
     """The JSON document at `path`; FormatError(f"{what}: ...") unless it is
     UTF-8 and JSON with finite numbers only."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f, parse_float=_finite_number, parse_constant=_finite_number)
-        except (ValueError, RecursionError) as e:  # decode and parse errors are ValueErrors
-            raise FormatError(f"{what}: {e}") from e
+    return _parse_json_doc(read_bytes(path), what)
 
 
-def read_grid_json(path) -> TokenGrid:
-    doc = read_json_doc(path, "grid JSON")
+def _parse_json_doc(blob: bytes, what: str):
+    try:
+        return json.loads(blob.decode(), parse_float=_finite_number, parse_constant=_finite_number)
+    except (ValueError, RecursionError) as e:  # decode and parse errors are ValueErrors
+        raise FormatError(f"{what}: {e}") from e
+
+
+def load_grid(path) -> TokenGrid:
+    return parse_grid(read_bytes(path))
+
+
+def parse_grid(blob: bytes) -> TokenGrid:
+    """Dispatch on leading bytes: LUVC1 binary or JSON fixture."""
+    if blob[:4] == LUVC1_MAGIC:
+        return parse_luvc1(blob)
+    doc = _parse_json_doc(blob, "grid JSON")
     if not isinstance(doc, dict) or doc.get("schema") != 1:
         raise FormatError("grid JSON: missing schema marker")
     try:
@@ -314,12 +328,3 @@ def read_grid_json(path) -> TokenGrid:
                          doc["data"], doc["sizes"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:  # ShapeError is a ValueError
         raise FormatError(f"grid JSON: {e}") from e
-
-
-def load_grid(path) -> TokenGrid:
-    """Dispatch on leading bytes: LUVC1 binary or JSON fixture."""
-    with open(path, "rb") as f:
-        head = f.read(4)
-    if head == LUVC1_MAGIC:
-        return read_luvc1(path)
-    return read_grid_json(path)

@@ -1,4 +1,7 @@
+import builtins
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +77,69 @@ def test_spectrum_is_deterministic(grid_file, tmp_path):
     run(["spectrum", grid_file, "--keep", 7, "--out", a])
     run(["spectrum", grid_file, "--keep", 7, "--out", b])
     assert a.read_bytes() == b.read_bytes()
+
+
+def small_inputs(tmp_path):
+    """One small grid as LUVC1 and as grid JSON, and a 32x32 PGM image."""
+    grid = TokenGrid.from_data(np.random.default_rng(7).normal(size=(4, 4, 8)))
+    paths = [tmp_path / "in.luvc", tmp_path / "in.json", tmp_path / "in.pgm"]
+    write_luvc1(grid, paths[0])
+    write_grid_json(grid, paths[1])
+    write_pgm(paths[2], np.random.default_rng(8).integers(0, 256, size=(32, 32)).astype(np.uint8))
+    return paths
+
+
+def test_each_input_is_opened_once(tmp_path, monkeypatch):
+    paths = small_inputs(tmp_path)
+    real, opened = builtins.open, []
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    for path in paths:
+        opened.clear()
+        assert run(["spectrum", path]) == 0
+        assert opened.count(str(path)) == 1, (path, opened)
+
+
+def test_piped_inputs_read_like_files(tmp_path, capsys):
+    # a pipe can be neither reopened nor rewound, so its bytes must be read in one go
+    outs = [tmp_path / "heat.pgm", tmp_path / "mask.pgm", tmp_path / "merged.luvc"]
+    commands = [["spectrum", "--heatmap", outs[0], "--mask", outs[1]],
+                ["merge", "--m", 1, "--oim-steps", 2, "--out", outs[2]]]
+    for path in small_inputs(tmp_path):
+        for command in commands:
+            results = []
+            for piped in (False, True):
+                for out in outs:
+                    out.unlink(missing_ok=True)
+                r, w = os.pipe()
+                os.write(w, path.read_bytes())  # well under a pipe's 64 KiB buffer
+                os.close(w)
+                try:
+                    source = f"/dev/fd/{r}" if piped else path
+                    code = run(command[:1] + [source] + command[1:])
+                finally:
+                    os.close(r)
+                written = [out.read_bytes() for out in outs if out.exists()]
+                results.append((code, capsys.readouterr(), written))
+            assert results[0][0] == 0 and results[0][2], (path, command)
+            assert results[1] == results[0], (path, command)
+
+
+def test_merge_holds_at_most_two_grids(tmp_path):
+    # each pass holds its input and output grids, never a third
+    path, out = tmp_path / "g.luvc", tmp_path / "merged.luvc"
+    write_luvc1(TokenGrid.from_data(np.random.default_rng(9).normal(size=(96, 96, 32))), path)
+    tracemalloc.start()
+    try:
+        assert run(["merge", path, "--m", 2, "--oim-steps", 3, "--out", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 96 * 96 * 32 * 8
 
 
 def test_merge_writes_grid(grid_file, tmp_path, capsys):
@@ -236,6 +302,9 @@ def test_json_documents_are_one_line(grid_file, tmp_path, capsys):
     report.save(saved)
     assert one_line_document(saved.read_text()) == json.loads(json.dumps(report.to_doc()))
     assert CompressionReport.load(saved) == report
+    grid = TokenGrid.from_data(np.random.default_rng(1).normal(size=(2, 3, 4)))
+    write_grid_json(grid, tmp_path / "grid.json")
+    assert one_line_document((tmp_path / "grid.json").read_text())["schema"] == 1
     assert capsys.readouterr().out == ""
 
 

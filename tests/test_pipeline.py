@@ -51,6 +51,24 @@ def test_ladder_must_end_at_zero_and_decrease():
         CompressionSchedule(llm_layers=12, l0=6, l_delta=3, keep_ladder=(5, 0, 0))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(l_delta=2, keep_ladder=(5, 5, 0)), "strictly decreasing"),
+    (dict(enc_layers=-1), "layer counts must be non-negative"),
+    (dict(llm_layers=-1), "layer counts must be non-negative"),
+    (dict(m=-1), "bad m / l0"),
+    (dict(l0=-1), "bad m / l0"),
+    (dict(l_delta=0), "bad m / l0"),
+    (dict(projector_factor=0), "bad m / l0"),
+    (dict(filter_mode="lowpass"), "unknown filter mode"),
+    (dict(enc_layers=4, merge_pairs=((4, 5),)), "outside encoder layers"),
+    (dict(enc_layers=4, merge_pairs=((-1, 0),)), "outside encoder layers"),
+])
+def test_schedule_refusals(kwargs, message):
+    # each case reaches exactly one check, which names itself in the message
+    with pytest.raises(ScheduleError, match=message):
+        CompressionSchedule(**kwargs)
+
+
 def test_spu_layer_arithmetic():
     sched = CompressionSchedule(llm_layers=12, l0=6, l_delta=3)
     assert sched.spu_layers == (6, 9)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tokcomp.errors import FormatError, ShapeError
 from tokcomp.tokens import (ComplexSequence, TokenGrid, TokenSequence,
                             concat_tokens, grid_from_sequence, load_grid,
-                            parse_luvc1, read_grid_json, read_luvc1,
+                            parse_luvc1, read_luvc1,
                             sequence_from_grid, write_grid_json, write_luvc1)
 
 
@@ -194,32 +194,31 @@ def test_grid_json_round_trip(tmp_path):
     grid = TokenGrid.from_data(np.arange(8, dtype=float).reshape(2, 2, 2))
     path = tmp_path / "g.json"
     write_grid_json(grid, path)
-    back = read_grid_json(path)
-    assert np.array_equal(back.data, grid.data)
-    assert load_grid(path).h == 2
+    back = load_grid(path)
+    assert np.array_equal(back.data, grid.data) and back.h == 2
 
 
 def test_grid_json_rejects_undecodable_and_non_finite(tmp_path):
     path = tmp_path / "g.json"
     path.write_bytes(b'{"schema": 1, "h": 1, "w": 1, "d": 1, "data": [\xff], "sizes": [1]}')
     with pytest.raises(FormatError):
-        read_grid_json(path)
+        load_grid(path)
     for data, sizes in (("NaN", "1"), ("Infinity", "1"), ("1", "NaN"), ("1", "Infinity"),
                         ("1e999", "1"), ("1", "-1e999")):
         path.write_text(f'{{"schema": 1, "h": 1, "w": 1, "d": 1, '
                         f'"data": [{data}], "sizes": [{sizes}]}}')
         with pytest.raises(FormatError):
-            read_grid_json(path)
+            load_grid(path)
     path.write_text("[" * 50_000 + "]" * 50_000)
     with pytest.raises(FormatError):
-        read_grid_json(path)
+        load_grid(path)
     # counts are integers, never truncated: "h": 1.9 is not h = 1
     for key, value in (("h", "1.9"), ("w", "1.0"), ("d", '"1"')):
         dims = {"h": "1", "w": "1", "d": "1", key: value}
         path.write_text(f'{{"schema": 1, "h": {dims["h"]}, "w": {dims["w"]}, '
                         f'"d": {dims["d"]}, "data": [1], "sizes": [1]}}')
         with pytest.raises(FormatError):
-            read_grid_json(path)
+            load_grid(path)
 
 
 def test_load_grid_dispatches_on_magic(tmp_path):
