@@ -7,6 +7,7 @@ accounting, and the smoothing-theory check.
 
 from .errors import (FormatError, ProjectorCompatibilityError, ScheduleError,
                      ShapeError)
+from .images import load_grid
 from .merging import (merge_flat, merge_height, merge_step, merge_width,
                       similarity_op_count)
 from .metrics import (CompressionReport, LayerCount, layer_flops, pipeline_flops,
@@ -20,7 +21,7 @@ from .spectral import (EnergyRanking, apply_filter, cutoff_from_ratio,
                        token_energy)
 from .theory import SmoothingTrace, dc_component, hc_component, smoothing_trace
 from .tokens import (ComplexSequence, TokenGrid, TokenSequence, concat_tokens,
-                     grid_from_sequence, load_grid, read_luvc1, sequence_from_grid,
+                     grid_from_sequence, read_luvc1, sequence_from_grid,
                      write_luvc1)
 from .toymodel import ToyModelConfig
 

@@ -6,9 +6,11 @@ merging), simulate (full pipeline run from a schedule JSON), baseline
 scaling sweep).  Exit codes: 0 success, 1 usage error, 2 data error (bad or
 unreadable input), 3 internal error (a bug; the traceback is printed).
 
-Each input is read through one open and sniffed by its magic bytes: LUVC1
-binary grids, JSON grid fixtures, or PGM/PPM images (featurized on the fly
-with --patch/--feat), so pipes and FIFOs work as inputs.
+Each input is read through one open by images.load_grid and sniffed by its
+magic bytes: LUVC1 binary grids, JSON grid fixtures, or PGM/PPM images
+(featurized on the fly with --patch/--feat), so pipes and FIFOs work as
+inputs.  An input past tokens.BYTE_BUDGET bytes, and a simulate run whose
+attention score block would pass it, are data errors.
 
 The parser is built once per process and reused; every parse starts from a
 fresh namespace, so cli_main can be called repeatedly in one process.
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import images, merging, pipeline, spectral, theory, toymodel
 from .metrics import LayerCount, reduction_ratio
-from .tokens import TokenGrid, overwrite_file, parse_grid, read_bytes, sequence_from_grid
+from .tokens import overwrite_file, sequence_from_grid
 from .tokens import read_luvc1, write_luvc1  # noqa: F401  perfbench traces both names here
 
 
@@ -39,13 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _load_grid_arg(args) -> TokenGrid:
-    blob = read_bytes(args.input)
-    if blob[:2] in (b"P2", b"P3", b"P5", b"P6"):
-        return images.featurize_image(images.parse_image(blob), args.patch, args.feat)
-    return parse_grid(blob)
 
 
 def _int_at_least(low: int, below: int | None = None):
@@ -104,7 +99,7 @@ def _add_input(sub) -> None:
 def _cmd_spectrum(args) -> int:
     if args.mask is not None and args.heatmap is None:
         raise _UsageError("--mask needs --heatmap")
-    grid = _load_grid_arg(args)
+    grid = images.load_grid(args.input, args.patch, args.feat)
     seq = sequence_from_grid(grid)
     keep = args.keep if args.keep is not None else seq.n // 2
     pruned, ranking = spectral.spectral_prune(seq, args.sigma_ratio, keep, args.filter_mode)
@@ -124,7 +119,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    grid = _load_grid_arg(args)
+    grid = images.load_grid(args.input, args.patch, args.feat)
     before = grid.n_tokens
     for _ in range(args.oim_steps):
         # one pass at a time, so that a pass holds only its input and output
@@ -152,14 +147,14 @@ def _cmd_simulate(args) -> int:
         overrides.setdefault("keep_ladder", None)
     if overrides:
         sched = replace(sched, **overrides)
-    grid = _load_grid_arg(args)
+    grid = images.load_grid(args.input, args.patch, args.feat)
     report = pipeline.run_experiment(grid, args.text_len, cfg, sched)
     _emit(json.dumps(report.to_doc()) + "\n", args.out)
     return 0
 
 
 def _cmd_baseline(args) -> int:
-    grid = _load_grid_arg(args)
+    grid = images.load_grid(args.input, args.patch, args.feat)
     out = pipeline.baseline_compress(grid, args.kind, args.target_h, args.target_w, args.seed)
     write_luvc1(out, args.out)
     # single-stage summary so ratios are comparable with simulate runs

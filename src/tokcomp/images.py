@@ -1,4 +1,5 @@
-"""Self-parsed PGM/PPM images, patch featurizers, and energy heatmaps.
+"""Self-parsed PGM/PPM images, the one grid loader, patch featurizers, and
+energy heatmaps.
 
 Only the netpbm subset we need: P2/P5 grayscale and P3/P6 color, maxval up
 to 255.  Parsing is strict -- truncated or inconsistent files raise
@@ -12,10 +13,12 @@ import numpy as np
 
 from .errors import FormatError, ShapeError
 from .spectral import EnergyRanking
-from .tokens import TokenGrid, overwrite_file, read_bytes
+from .tokens import TokenGrid, overwrite_file, parse_grid, read_bytes
 
 _WS = b" \t\r\n\x0b\x0c"
 FEATURE_MODES = ("raw", "dct")
+# magic -> (ASCII samples, channels)
+NETPBM = {b"P2": (True, 1), b"P3": (True, 3), b"P5": (False, 1), b"P6": (False, 3)}
 
 
 # ---------------------------------------------------------------------------
@@ -23,13 +26,9 @@ FEATURE_MODES = ("raw", "dct")
 
 def parse_image(blob: bytes) -> np.ndarray:
     """Decode P2/P3/P5/P6 bytes into (h, w) or (h, w, 3) uint8."""
-    if len(blob) < 2:
-        raise FormatError("image: too short for a magic number")
-    magic = blob[:2]
-    if magic not in (b"P2", b"P3", b"P5", b"P6"):
-        raise FormatError(f"image: unsupported magic {magic!r}")
-    ascii_body = magic in (b"P2", b"P3")
-    channels = 3 if magic in (b"P3", b"P6") else 1
+    if blob[:2] not in NETPBM:
+        raise FormatError(f"image: unsupported magic {blob[:2]!r}")
+    ascii_body, channels = NETPBM[blob[:2]]
 
     toks, pos = _header_tokens(blob, 3)
     try:
@@ -86,6 +85,16 @@ def _header_tokens(blob: bytes, count: int) -> tuple[list[bytes], int]:
 
 def read_image(path) -> np.ndarray:
     return parse_image(read_bytes(path))
+
+
+def load_grid(path, patch: int = 8, feat: str = "raw") -> TokenGrid:
+    """The grid at `path`, read through one open: an image whose magic is in
+    NETPBM is featurized by `patch` x `patch` blocks in `feat` mode, and any
+    other bytes are a LUVC1 or JSON grid."""
+    blob = read_bytes(path)
+    if blob[:2] in NETPBM:
+        return featurize_image(parse_image(blob), patch, feat)
+    return parse_grid(blob)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

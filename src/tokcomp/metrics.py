@@ -9,13 +9,12 @@ compression.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import FormatError
-from .tokens import overwrite_file, read_json_doc, strict_index
+from .tokens import read_json_doc, strict_index
 
 REPORT_SCHEMA = 1
 
@@ -109,10 +108,6 @@ class CompressionReport:
                        doc["similarity_ops"], dict(doc.get("timings_ms", {})))
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"report JSON: {e}") from e
-
-    def save(self, path) -> None:
-        with overwrite_file(path) as f:
-            f.write(json.dumps(self.to_doc()).encode() + b"\n")
 
     @classmethod
     def load(cls, path) -> "CompressionReport":

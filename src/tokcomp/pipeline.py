@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import tokens
 from .errors import FormatError, ProjectorCompatibilityError, ScheduleError, ShapeError
 from .merging import check_lane_merges, lane_match_ops, merge_height, merge_width
 from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ratio
@@ -234,7 +235,9 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
     The schedule is checked against the grid before any layer runs: a run
     with no layers, a lane too short for its merges, a merged grid that the
     projector cannot fold and a keep ladder that the visual tokens cannot
-    feed are refused up front, with the errors the stages would raise.
+    feed are refused up front, with the errors the stages would raise.  So
+    is a stage whose first layer, its widest, would hold an 8n²-byte
+    attention score block past tokens.BYTE_BUDGET.
     """
     if sched.enc_layers == 0 and sched.llm_layers == 0:
         raise ScheduleError("schedule runs no encoder or LLM layer, so there is nothing to report")
@@ -247,7 +250,14 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
         check_lane_merges(h, sched.m)
         h -= sched.m
     _check_foldable("merged grid", h, w, f)
-    sched.resolved_ladder((h // f) * (w // f))
+    n_visual = (h // f) * (w // f)
+    sched.resolved_ladder(n_visual)
+    n_text = cfg.text_len if text_len is None else text_len
+    for stage, layers, n in (("encoder", sched.enc_layers, grid.n_tokens),
+                             ("llm", sched.llm_layers, n_visual + n_text)):
+        if layers and 8 * n * n > tokens.BYTE_BUDGET:
+            raise ScheduleError(f"{stage} attention over {n} tokens needs a {8 * n * n}-byte "
+                                f"score block, past the {tokens.BYTE_BUDGET}-byte budget")
     t0 = time.perf_counter()
     enc_grid, enc_trace, sim_ops = _encoder_run(grid, cfg, sched)
     t1 = time.perf_counter()

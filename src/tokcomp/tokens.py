@@ -17,13 +17,16 @@ operation here is a pure function returning a new value.  The private
 that no one else holds (a merge pass's output, a fresh np.fft result):
 they freeze them in place without the copy and the checks.
 
-Serialization: the LUVC1 binary grid format and a JSON alternative for tiny
-fixtures.  Byte layouts are documented in docs/formats.md.
+Serialization: the LUVC1 binary grid format, written and read, and a JSON
+alternative for tiny fixtures, read only.  Every input is read through
+``read_bytes``, which refuses more than ``BYTE_BUDGET`` bytes.  Byte layouts
+are documented in docs/formats.md.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import stat
@@ -37,6 +40,9 @@ from .errors import FormatError, ShapeError
 
 LUVC1_MAGIC = b"LUVC"
 LUVC1_VERSION = 1
+
+# The most bytes one input may hold, and one attention score block may take.
+BYTE_BUDGET = 1 << 28
 
 
 def strict_index(value) -> int:
@@ -249,10 +255,31 @@ def write_luvc1(grid: TokenGrid, path) -> None:
         f.write(sizes)
 
 
+def _refuse_past_budget(nbytes: int, path) -> None:
+    if nbytes > BYTE_BUDGET:
+        raise FormatError(f"input {path}: more than the {BYTE_BUDGET}-byte budget")
+
+
 def read_bytes(path) -> bytes:
-    """All the bytes at `path` through one open: pipes and FIFOs read like files."""
-    with open(path, "rb") as f:
-        return f.read()
+    """All the bytes at `path` through one open: pipes and FIFOs read like files.
+
+    More than BYTE_BUDGET bytes raise FormatError: a regular file by its size,
+    before any read, and a stream as soon as it passes the budget.  A regular
+    file comes in one read of its size plus a byte, and a stream in chunks.
+    """
+    with open(path, "rb", buffering=0) as f:
+        st = os.fstat(f.fileno())
+        regular = stat.S_ISREG(st.st_mode)
+        if regular:
+            _refuse_past_budget(st.st_size, path)
+        step = st.st_size + 1 if regular else io.DEFAULT_BUFFER_SIZE
+        chunks, total = [], 0
+        while chunk := f.read(step):
+            total += len(chunk)
+            _refuse_past_budget(total, path)
+            chunks.append(chunk)
+            step = io.DEFAULT_BUFFER_SIZE
+    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
 
 
 def read_luvc1(path) -> TokenGrid:
@@ -279,19 +306,6 @@ def parse_luvc1(blob: bytes) -> TokenGrid:
         raise FormatError(f"LUVC1: {e}") from e
 
 
-def write_grid_json(grid: TokenGrid, path) -> None:
-    doc = {
-        "schema": 1,
-        "h": grid.h,
-        "w": grid.w,
-        "d": grid.d,
-        "data": grid.data.reshape(-1).tolist(),
-        "sizes": grid.sizes.reshape(-1).tolist(),
-    }
-    with overwrite_file(path) as f:
-        f.write(json.dumps(doc).encode() + b"\n")
-
-
 def _finite_number(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -310,10 +324,6 @@ def _parse_json_doc(blob: bytes, what: str):
         return json.loads(blob.decode(), parse_float=_finite_number, parse_constant=_finite_number)
     except (ValueError, RecursionError) as e:  # decode and parse errors are ValueErrors
         raise FormatError(f"{what}: {e}") from e
-
-
-def load_grid(path) -> TokenGrid:
-    return parse_grid(read_bytes(path))
 
 
 def parse_grid(blob: bytes) -> TokenGrid:

@@ -1,9 +1,12 @@
 """Independent naive implementations the fast paths are checked against.
 
 Everything here is written the dumb way on purpose: direct summations and
-explicit Python loops, no shared code with the library's fast paths.
+explicit Python loops, no shared code with the library's fast paths.  The
+library reads JSON grids but does not write them, so their fixtures are
+written here, from the layout in docs/formats.md.
 """
 
+import json
 import math
 
 import numpy as np
@@ -137,3 +140,10 @@ def naive_dct2(block: np.ndarray) -> np.ndarray:
             av = math.sqrt(1.0 / p) if v == 0 else math.sqrt(2.0 / p)
             out[u, v] = au * av * acc
     return out
+
+
+def write_grid_json(grid, path) -> None:
+    """`grid` as a one-line JSON grid document (docs/formats.md) at `path`."""
+    doc = {"schema": 1, "h": grid.h, "w": grid.w, "d": grid.d,
+           "data": grid.data.reshape(-1).tolist(), "sizes": grid.sizes.reshape(-1).tolist()}
+    path.write_text(json.dumps(doc) + "\n")

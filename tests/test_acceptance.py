@@ -268,7 +268,7 @@ def test_criterion_8_accounting(tmp_path):
                                 llm_layers=9, l0=3, l_delta=3)
     report = run_experiment(grid, None, cfg, sched)
     path = tmp_path / "report.json"
-    report.save(path)
+    path.write_text(json.dumps(report.to_doc()))
     doc = json.loads(path.read_text())
     # independent checker: plain python over the serialized trace
     visual = [e["visual"] for e in doc["per_layer_counts"]]

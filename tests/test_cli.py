@@ -1,17 +1,21 @@
 import builtins
 import json
 import os
+import resource
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import write_grid_json
+from tokcomp import tokens
 from tokcomp.cli import build_parser, cli_main
 from tokcomp.images import write_pgm
 from tokcomp.metrics import CompressionReport
 from tokcomp.pipeline import (CompressionSchedule, no_compression_schedule,
                               schedule_to_doc)
-from tokcomp.tokens import TokenGrid, read_luvc1, write_grid_json, write_luvc1
+from tokcomp.tokens import TokenGrid, read_luvc1, write_luvc1
 from tokcomp.toymodel import ToyModelConfig
 
 
@@ -298,13 +302,8 @@ def test_json_documents_are_one_line(grid_file, tmp_path, capsys):
         assert run(argv + ["--out", path]) == 0, argv
         assert one_line_document(path.read_text())["schema"] == 1
     report = CompressionReport.load(tmp_path / "simulate.json")
-    saved = tmp_path / "saved.json"
-    report.save(saved)
-    assert one_line_document(saved.read_text()) == json.loads(json.dumps(report.to_doc()))
-    assert CompressionReport.load(saved) == report
-    grid = TokenGrid.from_data(np.random.default_rng(1).normal(size=(2, 3, 4)))
-    write_grid_json(grid, tmp_path / "grid.json")
-    assert one_line_document((tmp_path / "grid.json").read_text())["schema"] == 1
+    written = one_line_document((tmp_path / "simulate.json").read_text())
+    assert written == json.loads(json.dumps(report.to_doc()))
     assert capsys.readouterr().out == ""
 
 
@@ -409,7 +408,69 @@ def test_text_len_beyond_any_array_exits_2(grid_file, tmp_path, capsys):
     model = {"d": 8, "heads": 2, "text_len": 10**30}
     sched.write_text(json.dumps({"schema": 1, "model": model, "schedule": {}}))
     assert run(["simulate", grid_file, "--schedule", sched]) == 2
-    assert "data error: tensor shape" in capsys.readouterr().err
+    assert "data error: llm attention over 10000000000000000000000000000" in capsys.readouterr().err
+
+
+def run_limited(argv, limit=700 << 20) -> int:
+    """Exit code of cli_main(argv) in a forked child limited to `limit`
+    bytes of address space, so that an unbounded read ends there."""
+    pid = os.fork()
+    if pid == 0:
+        code = 99
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+            code = run(argv)
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def test_endless_stream_exits_2(monkeypatch, capfd):
+    monkeypatch.setattr(tokens, "BYTE_BUDGET", 1 << 20)
+    assert run_limited(["spectrum", "/dev/zero"]) == 2
+    assert f"more than the {1 << 20}-byte budget" in capfd.readouterr().err
+
+
+def test_input_past_the_byte_budget_exits_2(grid_file, monkeypatch, capsys):
+    size = grid_file.stat().st_size
+    for budget, code in ((size - 1, 2), (size, 0)):
+        monkeypatch.setattr(tokens, "BYTE_BUDGET", budget)
+        assert run(["spectrum", grid_file]) == code, budget
+        r, w = os.pipe()
+        os.write(w, grid_file.read_bytes())  # well under a pipe's 64 KiB buffer
+        os.close(w)
+        try:
+            assert run(["spectrum", f"/dev/fd/{r}"]) == code, budget
+        finally:
+            os.close(r)
+    err = capsys.readouterr().err
+    assert err.count("data error: input ") == 2 and err.count(f"{size - 1}-byte budget") == 2
+
+
+def test_score_block_past_the_byte_budget_exits_2(tmp_path, monkeypatch, capsys):
+    gpath, sched = tmp_path / "g.luvc", tmp_path / "sched.json"
+    write_luvc1(TokenGrid.from_data(np.random.default_rng(4).normal(size=(16, 16, 8))), gpath)
+    sched.write_text(json.dumps({"schema": 1, "model": {"d": 8, "heads": 2},
+                                 "schedule": {"enc_layers": 2, "llm_layers": 2}}))
+    argv = ["simulate", gpath, "--schedule", sched, "--text-len"]
+    monkeypatch.setattr(tokens, "BYTE_BUDGET", 1 << 20)
+    assert run(argv + [100]) == 0
+    assert run(argv + [400]) == 2
+    assert "llm attention over 656 tokens needs a 3442688-byte score block" in capsys.readouterr().err
+    monkeypatch.setattr(tokens, "BYTE_BUDGET", 8 * 256 * 256 - 1)
+    assert run(argv + [0]) == 2
+    assert "encoder attention over 256 tokens" in capsys.readouterr().err
+    # at the full budget, a score block of 8 * 10256² bytes is refused before any layer runs
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        assert run(argv + [10_000]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "llm attention over 10256 tokens" in capsys.readouterr().err
 
 
 def test_semantic_errors_exit_2(grid_file, capsys):

@@ -106,7 +106,7 @@ def report_fixture():
 def test_report_round_trip(tmp_path):
     report = report_fixture()
     path = tmp_path / "report.json"
-    report.save(path)
+    path.write_text(json.dumps(report.to_doc()))
     back = CompressionReport.load(path)
     assert back == report
 

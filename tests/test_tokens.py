@@ -1,13 +1,19 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokcomp
+from oracles import write_grid_json
 from tokcomp.errors import FormatError, ShapeError
+from tokcomp.images import load_grid, write_pgm
 from tokcomp.tokens import (ComplexSequence, TokenGrid, TokenSequence,
-                            concat_tokens, grid_from_sequence, load_grid,
-                            parse_luvc1, read_luvc1,
-                            sequence_from_grid, write_grid_json, write_luvc1)
+                            concat_tokens, grid_from_sequence,
+                            parse_luvc1, read_bytes, read_luvc1,
+                            sequence_from_grid, write_luvc1)
 
 
 def seq_of(values, d=1):
@@ -223,6 +229,27 @@ def test_grid_json_rejects_undecodable_and_non_finite(tmp_path):
 
 def test_load_grid_dispatches_on_magic(tmp_path):
     grid = TokenGrid.from_data(np.ones((1, 2, 1)))
-    bpath = tmp_path / "b.luvc"
+    bpath, jpath, ipath = tmp_path / "b.luvc", tmp_path / "g.json", tmp_path / "i.pgm"
     write_luvc1(grid, bpath)
-    assert load_grid(bpath).w == 2
+    write_grid_json(grid, jpath)
+    write_pgm(ipath, np.full((4, 8), 7, dtype=np.uint8))
+    assert load_grid(bpath).w == 2 and load_grid(jpath).w == 2
+    image_grid = tokcomp.load_grid(ipath, 4)
+    assert (image_grid.h, image_grid.w, image_grid.d) == (1, 2, 16)
+    assert np.all(image_grid.data == 7)
+
+
+def test_read_bytes_returns_every_byte(tmp_path):
+    path = tmp_path / "empty"
+    path.write_bytes(b"")
+    assert read_bytes(path) == b""
+    # a stream of several chunks, fed by a thread past the pipe's buffer
+    blob = np.random.default_rng(5).bytes(300_000)
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, blob), os.close(w)))
+    writer.start()
+    try:
+        assert read_bytes(f"/dev/fd/{r}") == blob
+    finally:
+        os.close(r)
+        writer.join()
