@@ -14,9 +14,12 @@ blanked.
 Over the same runs as the reports, the model families hash the merged sizes
 of encoder_forward, the kept positions of every prune, and the encoder
 output with the final LLM hidden states.  toymodel.attention hashes single
-calls (d/heads 8/2, 32/4, 64/8; n 1 to 1024) on normal(0, 1) tokens and on
-uniform(0, 100) tokens, whose heads take the exact-shift path, with and
-without merged sizes.
+calls (d/heads 8/2, 32/4, 64/8 and the hires 64/4; n 1 to 1024) on
+normal(0, 1) tokens and on uniform(0, 100) tokens, whose heads take the
+exact-shift path, with and without merged sizes.  Its sizes include both
+edges of the range in which heads run as two row halves (see
+toymodel.BLAS_ONE_THREAD_MACS): n = 241/242 and 340/341 at 32/4, and
+175/176 and 248/249 at 64/4.
 """
 
 import contextlib
@@ -67,11 +70,17 @@ def spectral_outputs():
                 yield ranking.energies.tobytes() + ranking.kept.tobytes()
 
 
+ATTENTION_SIZES = {(8, 2): (1, 33, 257, 1024),
+                   (32, 4): (1, 33, 241, 242, 257, 340, 341, 1024),
+                   (64, 8): (1, 33, 257, 1024),
+                   (64, 4): (1, 33, 175, 176, 248, 249, 257, 1024)}
+
+
 def attention_outputs():
-    for d, heads in ((8, 2), (32, 4), (64, 8)):
+    for (d, heads), sizes_n in ATTENTION_SIZES.items():
         lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + heads), STAGE_ENCODER, 1)
         rng = np.random.default_rng(d * heads)
-        for n in (1, 33, 257, 1024):
+        for n in sizes_n:
             for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
                 for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
                     yield attention(x, lw, heads, sizes).tobytes()

@@ -52,11 +52,11 @@ def parse_image(blob: bytes) -> np.ndarray:
     else:
         if pos >= len(blob) or blob[pos] not in _WS:
             raise FormatError("image: missing whitespace before binary data")
-        data = blob[pos + 1:]
-        if len(data) != count:
-            raise FormatError(f"image: expected {count} bytes of data, got {len(data)}")
-        flat = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    if np.any(flat > maxval) or np.any(flat < 0):
+        if len(blob) - pos - 1 != count:
+            raise FormatError(f"image: expected {count} bytes of data, got {len(blob) - pos - 1}")
+        # a view of the samples: uint8 compares with maxval as it is
+        flat = np.frombuffer(blob, dtype=np.uint8, offset=pos + 1)
+    if flat.max() > maxval or flat.min() < 0:
         raise FormatError("image: sample exceeds maxval")
     img = flat.astype(np.uint8).reshape((h, w) if channels == 1 else (h, w, 3))
     return img

@@ -82,7 +82,7 @@ class CompressionSchedule:
         if self.keep_ladder is not None:
             ladder = tuple(strict_index(k) for k in self.keep_ladder)
             object.__setattr__(self, "keep_ladder", ladder)
-            n_spu = len(self.spu_layers)
+            n_spu = self.n_spu_layers
             if len(ladder) != n_spu:
                 raise ScheduleError(f"keep_ladder has {len(ladder)} entries for {n_spu} pruning layers")
             if ladder:
@@ -95,6 +95,11 @@ class CompressionSchedule:
     def spu_layers(self) -> tuple[int, ...]:
         return tuple(range(self.l0, self.llm_layers, self.l_delta))
 
+    @property
+    def n_spu_layers(self) -> int:
+        """len(spu_layers), counted without listing them."""
+        return len(range(self.l0, self.llm_layers, self.l_delta))
+
     def resolved_ladder(self, n_visual: int) -> tuple[int, ...]:
         if self.keep_ladder is not None:
             if self.keep_ladder and self.keep_ladder[0] > n_visual:
@@ -103,20 +108,24 @@ class CompressionSchedule:
             return self.keep_ladder
         if n_visual == 0:
             # degenerate no-visual run: every prune is a no-op
-            return (0,) * len(self.spu_layers)
-        return default_keep_ladder(n_visual, len(self.spu_layers))
+            return (0,) * self.n_spu_layers
+        return default_keep_ladder(n_visual, self.n_spu_layers)
 
 
 def default_keep_ladder(n_visual: int, n_steps: int) -> tuple[int, ...]:
-    """Linear ramp from n_visual down to 0 over n_steps pruning layers."""
+    """Linear ramp from n_visual down to 0 over n_steps pruning layers.
+
+    A strictly decreasing ladder that ends at 0 starts at n_steps - 1 or
+    more, so more steps than n_visual + 1 are refused before it is built.
+    """
     if n_steps == 0:
         return ()
+    if n_steps - 1 > n_visual:
+        raise ScheduleError(f"{n_visual} visual tokens cannot feed {n_steps} strict pruning steps")
     ladder = [round(n_visual * (n_steps - i) / n_steps) for i in range(1, n_steps + 1)]
     ladder[-1] = 0
     for j in range(n_steps - 2, -1, -1):
         ladder[j] = max(ladder[j], ladder[j + 1] + 1)
-    if ladder[0] > n_visual:
-        raise ScheduleError(f"{n_visual} visual tokens cannot feed {n_steps} strict pruning steps")
     return tuple(ladder)
 
 

@@ -265,21 +265,22 @@ def read_bytes(path) -> bytes:
 
     More than BYTE_BUDGET bytes raise FormatError: a regular file by its size,
     before any read, and a stream as soon as it passes the budget.  A regular
-    file comes in one read of its size plus a byte, and a stream in chunks.
+    file comes in one read of its size plus a byte, returned as read, and a
+    stream in chunks appended to one growing buffer, so a read holds little
+    more than its bytes once.
     """
     with open(path, "rb", buffering=0) as f:
         st = os.fstat(f.fileno())
         regular = stat.S_ISREG(st.st_mode)
         if regular:
             _refuse_past_budget(st.st_size, path)
-        step = st.st_size + 1 if regular else io.DEFAULT_BUFFER_SIZE
-        chunks, total = [], 0
-        while chunk := f.read(step):
-            total += len(chunk)
-            _refuse_past_budget(total, path)
-            chunks.append(chunk)
-            step = io.DEFAULT_BUFFER_SIZE
-    return chunks[0] if len(chunks) == 1 else b"".join(chunks)
+        # BytesIO shares its initial bytes, and getvalue returns its buffer
+        buf = io.BytesIO(f.read(st.st_size + 1 if regular else io.DEFAULT_BUFFER_SIZE))
+        buf.seek(0, io.SEEK_END)
+        while buf.tell() <= BYTE_BUDGET and (chunk := f.read(io.DEFAULT_BUFFER_SIZE)):
+            buf.write(chunk)
+        _refuse_past_budget(buf.tell(), path)
+    return buf.getvalue()
 
 
 def read_luvc1(path) -> TokenGrid:

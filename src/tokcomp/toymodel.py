@@ -24,11 +24,20 @@ pass over the n x n block.  A head above SHIFT_MAX has its scores shifted by
 their exact row max in the block before the exp.  No normalised attention
 matrix is ever formed.  Heads run one at a time through one float64 (n, n)
 score buffer, so a call holds exactly 8n² bytes of scores for n tokens.
-Outputs are bit-identical to the same arithmetic on all heads at once.
-Against the normalise-then-multiply form (scaled scores, shifted by the
-exact row max, normalised rows, then the boosted value product) they differ
-by at most a few 1e-15 relative per call on normal(0, 1) inputs; whole-run
-reports, merged sizes and kept sets are unchanged.
+A head whose value product n·n·(dh + 1) reaches BLAS_ONE_THREAD_MACS (2^19
+multiply-adds, where OpenBLAS starts a second thread) while each half,
+⌈n/2⌉·n·(dh + 1), stays under it runs as two row halves in the same buffer:
+just past that size the second thread is slower than one and then spins,
+which doubled the CPU time of a 16 x 16 demo item.  Larger heads gain from
+the second thread and run whole.  The halves move a call by at most a few
+1e-15 relative against whole heads (3.5e-15 on exact-shift heads of
+uniform(0, 100) tokens), and whole-run hidden states by under 1e-15.
+Outputs are bit-identical to the same arithmetic, in the same row blocks,
+on all heads at once.  Against the normalise-then-multiply form (scaled
+scores, shifted by the exact row max, normalised rows, then the boosted
+value product) they differ by at most a few 1e-15 relative per call on
+normal(0, 1) inputs; whole-run reports, merged sizes and kept sets are
+unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -70,6 +79,15 @@ FF_EXPANSION = 2
 # unshifted; see attention.  Every exponent of such a head lies in
 # [-SHIFT_MAX, SHIFT_MAX] and carries rounding of about eps * dh * SHIFT_MAX.
 SHIFT_MAX = 64.0
+
+# Multiply-adds from which OpenBLAS runs a matrix product on a second thread
+# (with two CPUs it splits a product once m·n·k reaches twice its 2^18 minimum).
+# Just past that size the second thread costs more than it saves: a 256 x 8 by
+# 8 x 256 score product took 99 µs on two threads against 44 µs on one (median
+# of 300 calls), and the idle thread then spins for about 0.1 s, which doubled
+# demo_stream's CPU time per item.  attention runs a head whose products just
+# reach this size as two row halves that each stay under it; see _head_rows.
+BLAS_ONE_THREAD_MACS = 1 << 19
 
 # Bytes of generated weights kept for the most recent config; see the module doc.
 WEIGHT_CACHE_BYTES = 16 << 20
@@ -210,8 +228,21 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _shift_by_row_max(s: np.ndarray) -> None:
-    """Subtract each row's max from one head's (n, n) scores in place."""
+    """Subtract each row's max from one row block of a head's scores in place."""
     s -= s.max(axis=-1, keepdims=True)
+
+
+def _head_rows(n: int, dh: int) -> tuple[slice, ...]:
+    """The row blocks one head of n tokens and width dh runs in.
+
+    Two halves when the value product, n·n·(dh + 1) multiply-adds, reaches
+    BLAS_ONE_THREAD_MACS and each half's, ⌈n/2⌉·n·(dh + 1), stays under it;
+    else one block of all n rows.
+    """
+    half = (n + 1) // 2
+    if half * n * (dh + 1) < BLAS_ONE_THREAD_MACS <= n * n * (dh + 1):
+        return slice(0, half), slice(half, n)
+    return (slice(0, n),)
 
 
 def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
@@ -230,7 +261,11 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     run one at a time through one (n, n) score buffer: q[h] @ k[h].T writes
     the scores s into it, softmax_rows exponentiates it in place, and
     r = exp(s) @ v'[h] holds the numerator and the row sum together, so the
-    head's output is r[:, :dh] / r[:, dh:].
+    head's output is r[:, :dh] / r[:, dh:].  A head whose value product
+    n·n·(dh + 1) reaches BLAS_ONE_THREAD_MACS while ⌈n/2⌉·n·(dh + 1) stays
+    under it (n = 242 to 340 at dh = 8, 176 to 248 at dh = 16) does this in
+    two row halves of the same buffer, so none of its products wakes
+    OpenBLAS's second thread; see BLAS_ONE_THREAD_MACS.
 
     A head with max_i ||q_i||² * max_j ||k_j||² <= SHIFT_MAX² has every
     score within SHIFT_MAX of 0 (Cauchy–Schwarz), so its terms lie in
@@ -245,6 +280,8 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     most a few 1e-15 relative, on normal(0, 1) inputs as at bounds near
     SHIFT_MAX, and by about 5e-14 on exact-shift heads of uniform(0, 100)
     tokens, where each form is about 1e-13 from a long-double reference.
+    Running a head as two halves moves the call's output by at most a few
+    1e-15 relative.
     """
     n, d = x.shape
     if n == 0:
@@ -259,12 +296,16 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     qq, kk = (np.einsum("hnc,hnc->hn", t, t).max(axis=-1) for t in (q, k))
     scores = np.empty((n, n))
     out = np.empty((heads, n, dh))
+    rows = _head_rows(n, dh)
     for h in range(heads):
-        np.matmul(q[h], k[h].T, out=scores)
-        if qq[h] * kk[h] > SHIFT_MAX ** 2:
-            _shift_by_row_max(scores)
-        r = softmax_rows(scores) @ va[h]
-        np.divide(r[:, :dh], r[:, dh:], out=out[h])
+        shift = qq[h] * kk[h] > SHIFT_MAX ** 2
+        for r in rows:
+            s = scores[r]
+            np.matmul(q[h, r], k[h].T, out=s)
+            if shift:
+                _shift_by_row_max(s)
+            t = softmax_rows(s) @ va[h]
+            np.divide(t[:, :dh], t[:, dh:], out=out[h, r])
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
 

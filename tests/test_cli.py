@@ -473,6 +473,28 @@ def test_score_block_past_the_byte_budget_exits_2(tmp_path, monkeypatch, capsys)
     assert "llm attention over 10256 tokens" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ladder", [None, [4, 0]])
+def test_huge_llm_layer_counts_exit_2(tmp_path, capsys, ladder):
+    # 10**12 layers are counted, not listed: no tuple of pruning layers is built
+    gpath, sched = tmp_path / "g.luvc", tmp_path / "sched.json"
+    write_luvc1(TokenGrid.from_data(np.random.default_rng(4).normal(size=(16, 16, 8))), gpath)
+    layers = {"enc_layers": 2, "llm_layers": 10**12}
+    if ladder is not None:
+        layers["keep_ladder"] = ladder
+    sched.write_text(json.dumps({"schema": 1, "model": {"d": 8, "heads": 2}, "schedule": layers}))
+    tracemalloc.start()
+    try:
+        assert run(["simulate", gpath, "--schedule", sched]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    steps = len(range(6, 10**12, 3))
+    want = (f"256 visual tokens cannot feed {steps} strict pruning steps" if ladder is None
+            else f"keep_ladder has 2 entries for {steps} pruning layers")
+    assert want in capsys.readouterr().err
+
+
 def test_semantic_errors_exit_2(grid_file, capsys):
     assert run(["spectrum", grid_file, "--keep", 99]) == 2
     assert run(["merge", grid_file, "--m", 99, "--out", "/dev/null"]) == 2

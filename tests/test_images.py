@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,12 +51,28 @@ def test_parse_ascii_ppm():
     b"P5\n2 2\n70000\n" + bytes(4),        # maxval too large
     b"P5\n0 2\n255\n",                     # zero dim
     b"P2\n2 1\n255\n12 999\n",             # sample exceeds maxval
+    b"P5\n2 1\n100\n" + bytes([50, 200]),  # binary sample exceeds maxval
     b"P2\n2 1\n255\n12\n",                 # missing sample
     b"P5\n2 2\n255",                       # no separator / data
 ])
 def test_parse_rejects_malformed(blob):
     with pytest.raises(FormatError):
         parse_image(blob)
+
+
+@pytest.mark.parametrize("magic,shape", [(b"P5", (1024, 1024)), (b"P6", (512, 512, 3))])
+def test_binary_images_parse_in_about_their_own_size(magic, shape):
+    # widening the samples to int64 to check them took 10x the image bytes
+    img = np.random.default_rng(7).integers(0, 256, size=shape, dtype=np.uint8)
+    blob = magic + b"\n%d %d\n255\n" % (shape[1], shape[0]) + img.tobytes()
+    tracemalloc.start()
+    try:
+        got = parse_image(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.uint8 and np.array_equal(got, img)
+    assert peak < 2 * img.nbytes, peak / img.nbytes
 
 
 def test_write_pgm_rejects_out_of_range(tmp_path):

@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,3 +254,22 @@ def test_read_bytes_returns_every_byte(tmp_path):
     finally:
         os.close(r)
         writer.join()
+
+
+def test_piped_reads_hold_their_bytes_about_once():
+    # joining a list of chunks would hold every byte twice at its peak
+    blob = np.random.default_rng(6).bytes(16 << 20)
+    r, w = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(w, blob), os.close(w)))
+    writer.start()
+    tracemalloc.start()
+    try:
+        got = read_bytes(f"/dev/fd/{r}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert got == blob
+    assert peak < 1.25 * len(blob), peak / len(blob)

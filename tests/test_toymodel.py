@@ -113,8 +113,18 @@ def test_unit_sizes_take_the_plain_path():
     assert np.array_equal(attention(x, lw, 2, sizes=np.ones(5)), attention(x, lw, 2))
 
 
+def head_row_blocks(n, dh):
+    """Row blocks of one head: two halves when the value product reaches
+    BLAS_ONE_THREAD_MACS and each half's stays under it, else all rows."""
+    half, macs = (n + 1) // 2, n * (dh + 1)
+    if half * macs < toymodel.BLAS_ONE_THREAD_MACS <= n * macs:
+        return [(0, half), (half, n)]
+    return [(0, n)]
+
+
 def batched_attention(x, lw, heads, sizes=None):
-    """All heads in one score tensor, the row sums carried by v's ones column."""
+    """All heads in one score tensor per row block, the row sums carried by
+    v's ones column."""
     n, d = x.shape
     dh = d // heads
     q = (x @ lw.wq) / np.sqrt(dh)
@@ -122,9 +132,13 @@ def batched_attention(x, lw, heads, sizes=None):
     qh, kh, vh = (t.reshape(n, heads, dh).transpose(1, 0, 2) for t in (q, x @ lw.wk, v))
     bound = np.linalg.norm(qh, axis=-1).max(axis=-1) * np.linalg.norm(kh, axis=-1).max(axis=-1)
     exact = bound > toymodel.SHIFT_MAX
-    s = qh @ kh.mT
-    s[exact] -= s[exact].max(axis=-1, keepdims=True)
-    r = np.exp(s) @ np.concatenate([vh, np.ones((heads, n, 1))], axis=-1)
+    va = np.concatenate([vh, np.ones((heads, n, 1))], axis=-1)
+    parts = []
+    for a, b in head_row_blocks(n, dh):
+        s = qh[:, a:b] @ kh.mT
+        s[exact] -= s[exact].max(axis=-1, keepdims=True)
+        parts.append(np.exp(s) @ va)
+    r = np.concatenate(parts, axis=1)
     out = r[..., :dh] / r[..., dh:]
     return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
 
@@ -224,11 +238,9 @@ def test_pipeline_runs_stay_on_the_folded_path(exact_shifts):
     assert exact_shifts == []
 
 
-@pytest.mark.parametrize("sized", [False, True])
-def test_attention_runs_one_head_at_a_time_bit_identically(monkeypatch, sized):
-    heads, d = 4, 32
-    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
-    rng = np.random.default_rng(5)
+@pytest.fixture
+def score_blocks(monkeypatch):
+    """Shapes of the score blocks softmax_rows exponentiates, in call order."""
     blocks = []
     real_softmax = toymodel.softmax_rows
 
@@ -237,14 +249,45 @@ def test_attention_runs_one_head_at_a_time_bit_identically(monkeypatch, sized):
         return real_softmax(s)
 
     monkeypatch.setattr(toymodel, "softmax_rows", counting_softmax)
+    return blocks
+
+
+@pytest.mark.parametrize("sized", [False, True])
+def test_attention_runs_one_head_at_a_time_bit_identically(score_blocks, sized):
+    heads, d = 4, 32
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
+    rng = np.random.default_rng(5)
+    # 257·257·9 multiply-adds reach BLAS_ONE_THREAD_MACS and 129·257·9 do not
+    per_head = {257: [(129, 257), (128, 257)]}
     for n in (1, 2, 20, 33, 257):
         sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
         # folded heads, then heads shifted by their exact row max
         for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
-            blocks.clear()
+            score_blocks.clear()
             assert np.array_equal(attention(x, lw, heads, sizes),
                                   batched_attention(x, lw, heads, sizes)), n
-            assert blocks == [(n, n)] * heads
+            assert score_blocks == per_head.get(n, [(n, n)]) * heads
+
+
+@pytest.mark.parametrize("d,n,halves", [
+    (32, 241, False), (32, 242, True), (32, 340, True), (32, 341, False),
+    (64, 175, False), (64, 176, True), (64, 248, True), (64, 249, False)])
+def test_heads_just_past_the_two_thread_size_run_as_row_halves(score_blocks, d, n, halves):
+    heads = 4
+    lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + n), STAGE_ENCODER, 1)
+    rng = np.random.default_rng(n)
+    half = (n + 1) // 2
+    want_blocks = [(half, n), (n - half, n)] if halves else [(n, n)]
+    # folded heads, then heads shifted by their exact row max
+    for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+        for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
+            score_blocks.clear()
+            got = attention(x, lw, heads, sizes)
+            assert score_blocks == want_blocks * heads
+            assert np.array_equal(got, batched_attention(x, lw, heads, sizes))
+            want = previous_attention(x, lw, heads, sizes)
+            diff = np.abs(got - want).max()
+            assert diff <= 1e-13 * np.abs(want).max(), (sizes is None, diff)
 
 
 def test_attention_holds_one_score_block():
