@@ -16,10 +16,10 @@ of encoder_forward, the kept positions of every prune, and the encoder
 output with the final LLM hidden states.  toymodel.attention hashes single
 calls (d/heads 8/2, 32/4, 64/8 and the hires 64/4; n 1 to 1024) on
 normal(0, 1) tokens and on uniform(0, 100) tokens, whose heads take the
-exact-shift path, with and without merged sizes.  Its sizes include both
-edges of the range in which heads run as two row halves (see
-toymodel.BLAS_ONE_THREAD_MACS): n = 241/242 and 340/341 at 32/4, and
-175/176 and 248/249 at 64/4.
+exact-shift path, with and without merged sizes.  Its sizes include sizes
+at which attention's row tiles go from one to two and from two to three
+(see toymodel._row_blocks): n = 241/242 and 340/341 at 32/4, and 175/176
+and 248/249 at 64/4.
 """
 
 import contextlib

@@ -10,7 +10,7 @@ Each input is read through one open by images.load_grid and sniffed by its
 magic bytes: LUVC1 binary grids, JSON grid fixtures, or PGM/PPM images
 (featurized on the fly with --patch/--feat), so pipes and FIFOs work as
 inputs.  An input past tokens.BYTE_BUDGET bytes, and a simulate run whose
-attention score block would pass it, are data errors.
+attention computes more bytes of scores per head than that, are data errors.
 
 The parser is built once per process and reused; every parse starts from a
 fresh namespace, so cli_main can be called repeatedly in one process.

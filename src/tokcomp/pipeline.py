@@ -26,8 +26,8 @@ from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ra
 from .spectral import FILTER_MODES, spectral_prune
 from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc, strict_index
 from .toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig, block_forward,
-                       connector_matrix, layer_weights, sinusoidal_positions,
-                       text_tokens)
+                       connector_matrix, layer_weights, matmul_rows,
+                       sinusoidal_positions, text_tokens)
 
 SCHEDULE_SCHEMA = 1
 BASELINE_KINDS = ("random2d", "nearest", "bilinear", "drop_all")
@@ -234,7 +234,7 @@ def make_text_sequence(cfg: ToyModelConfig, text_len: int | None = None) -> Toke
 
 def _connect(seq: TokenSequence, cfg: ToyModelConfig) -> TokenSequence:
     w = connector_matrix(cfg, seq.d)
-    return TokenSequence(seq.n, cfg.d, seq.data @ w, seq.positions, seq.orig_len)
+    return TokenSequence(seq.n, cfg.d, matmul_rows(seq.data, w), seq.positions, seq.orig_len)
 
 
 def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
@@ -245,8 +245,9 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
     with no layers, a lane too short for its merges, a merged grid that the
     projector cannot fold and a keep ladder that the visual tokens cannot
     feed are refused up front, with the errors the stages would raise.  So
-    is a stage whose first layer, its widest, would hold an 8n²-byte
-    attention score block past tokens.BYTE_BUDGET.
+    is a stage whose first layer, its widest, computes more than
+    tokens.BYTE_BUDGET bytes of attention scores per head (8n² for n
+    tokens), though attention holds only a few row tiles of them at a time.
     """
     if sched.enc_layers == 0 and sched.llm_layers == 0:
         raise ScheduleError("schedule runs no encoder or LLM layer, so there is nothing to report")
@@ -265,8 +266,8 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
     for stage, layers, n in (("encoder", sched.enc_layers, grid.n_tokens),
                              ("llm", sched.llm_layers, n_visual + n_text)):
         if layers and 8 * n * n > tokens.BYTE_BUDGET:
-            raise ScheduleError(f"{stage} attention over {n} tokens needs a {8 * n * n}-byte "
-                                f"score block, past the {tokens.BYTE_BUDGET}-byte budget")
+            raise ScheduleError(f"{stage} attention over {n} tokens computes {8 * n * n} bytes "
+                                f"of scores per head, past the {tokens.BYTE_BUDGET}-byte budget")
     t0 = time.perf_counter()
     enc_grid, enc_trace, sim_ops = _encoder_run(grid, cfg, sched)
     t1 = time.perf_counter()

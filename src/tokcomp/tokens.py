@@ -41,7 +41,7 @@ from .errors import FormatError, ShapeError
 LUVC1_MAGIC = b"LUVC"
 LUVC1_VERSION = 1
 
-# The most bytes one input may hold, and one attention score block may take.
+# The most bytes one input may hold, and one attention head's scores may take.
 BYTE_BUDGET = 1 << 28
 
 

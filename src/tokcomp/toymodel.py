@@ -20,24 +20,25 @@ the n x dh numerator is divided by the sum.  A head whose bound
 max_i ||q_i|| * max_j ||k_j|| is at most SHIFT_MAX has every score in
 [-SHIFT_MAX, SHIFT_MAX] (Cauchy–Schwarz), where exp neither overflows nor
 underflows, so softmax_rows exponentiates its scores unshifted: the one numpy
-pass over the n x n block.  A head above SHIFT_MAX has its scores shifted by
-their exact row max in the block before the exp.  No normalised attention
-matrix is ever formed.  Heads run one at a time through one float64 (n, n)
-score buffer, so a call holds exactly 8n² bytes of scores for n tokens.
-A head whose value product n·n·(dh + 1) reaches BLAS_ONE_THREAD_MACS (2^19
-multiply-adds, where OpenBLAS starts a second thread) while each half,
-⌈n/2⌉·n·(dh + 1), stays under it runs as two row halves in the same buffer:
-just past that size the second thread is slower than one and then spins,
-which doubled the CPU time of a 16 x 16 demo item.  Larger heads gain from
-the second thread and run whole.  The halves move a call by at most a few
-1e-15 relative against whole heads (3.5e-15 on exact-shift heads of
-uniform(0, 100) tokens), and whole-run hidden states by under 1e-15.
-Outputs are bit-identical to the same arithmetic, in the same row blocks,
-on all heads at once.  Against the normalise-then-multiply form (scaled
-scores, shifted by the exact row max, normalised rows, then the boosted
-value product) they differ by at most a few 1e-15 relative per call on
-normal(0, 1) inputs; whole-run reports, merged sizes and kept sets are
-unchanged.
+pass over the scores.  A head above SHIFT_MAX has its scores shifted by
+their exact row max before the exp.  No normalised attention matrix is ever
+formed.
+
+Every matrix product the model makes runs in row blocks whose products each
+stay under BLAS_ONE_THREAD_MACS (2^19 multiply-adds, where OpenBLAS hands a
+product to a second thread that then spins for about 0.1 s), so OpenBLAS
+never starts that thread.  The model spreads a stage of POOL_MIN_MACS or more
+over its own threads instead: the calling thread and a pool of POOL_THREADS
+threads, started on first use (see _for_row_blocks).  Attention runs its
+scores in row tiles of all heads at once, each in a (heads, rows, n) buffer
+of the thread running it, so a thread holds under 8·heads·2^19/(dh + 1)
+bytes of scores, not 8n².  Outputs are bit-identical to the same arithmetic,
+in the same row blocks, on one thread.  Row blocks move a call by at most a
+few 1e-15 relative against whole products, and whole-run hidden states by
+under 1e-15.  Against the normalise-then-multiply form (scaled scores,
+shifted by the exact row max, normalised rows, then the boosted value
+product) they differ by at most a few 1e-15 relative per call on normal(0, 1)
+inputs; whole-run reports, merged sizes and kept sets are unchanged.
 
 Weights are generated once per config.  layer_weights, connector_matrix and
 text_tokens keep what they generate in one cache keyed by the frozen
@@ -54,7 +55,9 @@ so outputs do not depend on the cache.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -85,9 +88,23 @@ SHIFT_MAX = 64.0
 # Just past that size the second thread costs more than it saves: a 256 x 8 by
 # 8 x 256 score product took 99 µs on two threads against 44 µs on one (median
 # of 300 calls), and the idle thread then spins for about 0.1 s, which doubled
-# demo_stream's CPU time per item.  attention runs a head whose products just
-# reach this size as two row halves that each stay under it; see _head_rows.
+# demo_stream's CPU time per item.  Larger products gain less from it than it
+# costs: a hires item took about 100 ms on one thread and 90 ms on two, at
+# twice the CPU.  So every product the model makes runs in row blocks that
+# each stay under this size (see _row_blocks), and the model spreads large
+# stages over its own threads instead (see POOL_MIN_MACS).
 BLAS_ONE_THREAD_MACS = 1 << 19
+
+# Multiply-adds from which a stage spreads its row blocks over the calling
+# thread and POOL_THREADS pool threads.  On 2 vCPUs a 32 x 32, d = 64 item took
+# 76 ms with the pool against 102 ms without it; at 1 << 22 the first attention
+# stage of a 16 x 16, d = 32 item (n = 256, about 4.7M multiply-adds) went to
+# the pool too, and that item took 9.07 ms against 8.07 ms (medians of 6
+# alternating 1 s runs in one process).
+POOL_MIN_MACS = 1 << 23
+
+# Pool threads besides the caller: one per further CPU this process may use.
+POOL_THREADS = len(os.sched_getaffinity(0)) - 1
 
 # Bytes of generated weights kept for the most recent config; see the module doc.
 WEIGHT_CACHE_BYTES = 16 << 20
@@ -221,8 +238,8 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
 
     attention passes scores in [-SHIFT_MAX, SHIFT_MAX], or shifted by their
     exact row max, so no term overflows and no row underflows.  This is the
-    one numpy pass over the score block on unshifted heads: the row sums
-    come out of the value product.
+    one numpy pass over a tile's scores on unshifted heads: the row sums
+    come out of the value product.  attention calls it in pool threads too.
     """
     return np.exp(x, out=x)
 
@@ -232,17 +249,97 @@ def _shift_by_row_max(s: np.ndarray) -> None:
     s -= s.max(axis=-1, keepdims=True)
 
 
-def _head_rows(n: int, dh: int) -> tuple[slice, ...]:
-    """The row blocks one head of n tokens and width dh runs in.
+def _row_blocks(n: int, row_macs: int) -> list[slice]:
+    """n rows in the fewest blocks whose products stay under BLAS_ONE_THREAD_MACS.
 
-    Two halves when the value product, n·n·(dh + 1) multiply-adds, reaches
-    BLAS_ONE_THREAD_MACS and each half's, ⌈n/2⌉·n·(dh + 1), stays under it;
-    else one block of all n rows.
+    row_macs is the most multiply-adds one row adds to any product of a
+    block, so a block holds at most (BLAS_ONE_THREAD_MACS - 1) // row_macs
+    rows (at least one).  Block sizes differ by at most one row, the larger
+    blocks first: 257 rows of 2304 multiply-adds each are (129, 128).
     """
-    half = (n + 1) // 2
-    if half * n * (dh + 1) < BLAS_ONE_THREAD_MACS <= n * n * (dh + 1):
-        return slice(0, half), slice(half, n)
-    return (slice(0, n),)
+    per = max(1, (BLAS_ONE_THREAD_MACS - 1) // max(row_macs, 1))
+    if n <= per:
+        return [slice(0, n)] if n else []
+    count = -(-n // per)
+    size, extra = divmod(n, count)
+    edges = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+_pool = None  # the ThreadPoolExecutor of _shared_pool, once started
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads, so it starts its own pool."""
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shared_pool():
+    """The POOL_THREADS-thread pool, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so a run that never reaches POOL_MIN_MACS skips its import
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(POOL_THREADS, thread_name_prefix="tokcomp-rows")
+        return _pool
+
+
+def _for_row_blocks(n: int, row_macs: int, stage_macs: int, start) -> None:
+    """Compute a stage of n rows in the blocks of _row_blocks(n, row_macs).
+
+    start(rows) is called once in each thread that takes part, with the row
+    count of the largest block, and returns the function that computes one
+    block (a slice of rows), so per-thread buffers live in its closure.  A
+    stage of fewer than POOL_MIN_MACS multiply-adds runs in the calling
+    thread.  A larger one spreads its blocks over the calling thread and up
+    to POOL_THREADS pool threads, each taking the next block as it is free;
+    a pool thread runs in a copy of the caller's context, so np.errstate
+    holds there too, and an exception raised in it reaches the caller.
+    Blocks write disjoint rows with the same arithmetic in any thread, so
+    the result does not depend on the pool.
+    """
+    blocks = _row_blocks(n, row_macs)
+    if not blocks:
+        return
+    todo = iter(blocks)
+    rows = blocks[0].stop
+
+    def drain():
+        run = start(rows)
+        for r in todo:
+            run(r)
+
+    helpers = min(POOL_THREADS, len(blocks) - 1) if stage_macs >= POOL_MIN_MACS else 0
+    if helpers <= 0:
+        drain()
+        return
+    pool = _shared_pool()
+    futures = [pool.submit(contextvars.copy_context().run, drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        for f in futures:
+            f.exception()  # waits until the thread is done with its blocks
+    for f in futures:
+        f.result()
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D a, in row blocks that OpenBLAS runs on one thread each."""
+    n, m = a.shape[0], b.shape[1]
+    out = np.empty((n, m), dtype=np.result_type(a, b))
+
+    def start(rows):
+        return lambda r: np.matmul(a[r], b, out=out[r])
+
+    _for_row_blocks(n, b.size, n * b.size, start)
+    return out
 
 
 def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
@@ -256,61 +353,93 @@ def attention(x: np.ndarray, lw: LayerWeights, heads: int,
     """Multi-head softmax attention; sizes trigger the log-size value boost.
 
     q = (x @ wq) / sqrt(dh), k = x @ wk and v = merging.size_boost(x @ wv,
-    sizes) are formed once for all heads, q and k as (heads, n, dh) views
-    and v in a (heads, n, dh + 1) buffer holding v' = [v, 1].  Heads then
-    run one at a time through one (n, n) score buffer: q[h] @ k[h].T writes
-    the scores s into it, softmax_rows exponentiates it in place, and
-    r = exp(s) @ v'[h] holds the numerator and the row sum together, so the
-    head's output is r[:, :dh] / r[:, dh:].  A head whose value product
-    n·n·(dh + 1) reaches BLAS_ONE_THREAD_MACS while ⌈n/2⌉·n·(dh + 1) stays
-    under it (n = 242 to 340 at dh = 8, 176 to 248 at dh = 16) does this in
-    two row halves of the same buffer, so none of its products wakes
-    OpenBLAS's second thread; see BLAS_ONE_THREAD_MACS.
+    sizes) are formed once for all heads, in row blocks of d·d multiply-adds
+    per row, q and k as (heads, n, dh) views and v in a (heads, n, dh + 1)
+    buffer holding v' = [v, 1].  The rest runs in row tiles of all heads at
+    once, from _row_blocks(n, max(n·(dh + 1), d·d)): one stacked product
+    q[:, rows] @ k.T writes a tile's scores s into a (heads, rows, n)
+    buffer of the thread running it, softmax_rows exponentiates the tile in
+    place, and one stacked product r = exp(s) @ v' holds the numerator and
+    the row sum together, so the tile's output is r[..., :dh] / r[..., dh:],
+    multiplied by wo into the tile's output rows.  No product of a tile
+    reaches BLAS_ONE_THREAD_MACS, so OpenBLAS runs each on one thread, and
+    a call of POOL_MIN_MACS or more runs its tiles on the pool as well (see
+    _for_row_blocks).  At n = 1024, d = 64 and 4 heads a tile is 30 rows,
+    and each thread holds 4·30·1024·8 bytes (under 1 MB) of scores.
 
     A head with max_i ||q_i||² * max_j ||k_j||² <= SHIFT_MAX² has every
     score within SHIFT_MAX of 0 (Cauchy–Schwarz), so its terms lie in
     [exp(-SHIFT_MAX), exp(SHIFT_MAX)]: none overflows and no row
     underflows.  A head above that bound (inputs of large scale, such as
-    raw pixels) has _shift_by_row_max subtract its exact row max in the
-    block before the exp.  The choice costs n·dh operations per head and is
-    made before the score product, so no score is computed twice and score
-    memory is 8n² bytes either way.  Each head's arithmetic is that of the
-    all-heads form.  Against the form that shifts by the exact row max and
-    normalises the rows before the value product, one call differs by at
-    most a few 1e-15 relative, on normal(0, 1) inputs as at bounds near
-    SHIFT_MAX, and by about 5e-14 on exact-shift heads of uniform(0, 100)
-    tokens, where each form is about 1e-13 from a long-double reference.
-    Running a head as two halves moves the call's output by at most a few
-    1e-15 relative.
+    raw pixels) has _shift_by_row_max subtract its exact row max in each
+    tile before the exp.  The choice costs n·dh operations per head and is
+    made before the score product, so no score is computed twice.  Each
+    head's arithmetic is that of the per-head form in the same row blocks.
+    Against the form that shifts by the exact row max and normalises the
+    rows before the value product, one call differs by at most a few 1e-15
+    relative, on normal(0, 1) inputs as at bounds near SHIFT_MAX, and by
+    about 5e-14 on exact-shift heads of uniform(0, 100) tokens, where each
+    form is about 1e-13 from a long-double reference.  Row blocks move a
+    call's output by at most a few 1e-15 relative against whole products.
     """
     n, d = x.shape
     if n == 0:
         return x.copy()
     dh = d // heads
-    q = _split_heads(x @ lw.wq / np.sqrt(dh), heads)
-    k = _split_heads(x @ lw.wk, heads)
+    qkv = np.empty((3, n, d))
+
+    def start_qkv(rows):
+        def run(r):
+            np.matmul(x[r], lw.wq, out=qkv[0, r])
+            np.divide(qkv[0, r], np.sqrt(dh), out=qkv[0, r])
+            np.matmul(x[r], lw.wk, out=qkv[1, r])
+            np.matmul(x[r], lw.wv, out=qkv[2, r])
+        return run
+
+    _for_row_blocks(n, d * d, 3 * n * d * d, start_qkv)
+    q, k, v = (_split_heads(t, heads) for t in qkv)
     va = np.ones((heads, n, dh + 1))
-    va[..., :dh] = _split_heads(x @ lw.wv, heads)
-    if sizes is not None:
-        va[..., :dh] = size_boost(va[..., :dh], sizes)
+    va[..., :dh] = v if sizes is None else size_boost(v, sizes)
     qq, kk = (np.einsum("hnc,hnc->hn", t, t).max(axis=-1) for t in (q, k))
-    scores = np.empty((n, n))
-    out = np.empty((heads, n, dh))
-    rows = _head_rows(n, dh)
-    for h in range(heads):
-        shift = qq[h] * kk[h] > SHIFT_MAX ** 2
-        for r in rows:
-            s = scores[r]
-            np.matmul(q[h, r], k[h].T, out=s)
-            if shift:
-                _shift_by_row_max(s)
-            t = softmax_rows(s) @ va[h]
-            np.divide(t[:, :dh], t[:, dh:], out=out[h, r])
-    return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
+    exact = np.flatnonzero(qq * kk > SHIFT_MAX ** 2)
+    kt = k.transpose(0, 2, 1)
+    out = np.empty((n, d))
+
+    def start_tiles(rows):
+        scores = np.empty(heads * rows * n)
+        sums = np.empty(heads * rows * (dh + 1))
+        heads_out = np.empty((rows, heads, dh))
+
+        def run(r):
+            m = r.stop - r.start
+            s = np.matmul(q[:, r], kt, out=scores[:heads * m * n].reshape(heads, m, n))
+            for h in exact:
+                _shift_by_row_max(s[h])
+            t = np.matmul(softmax_rows(s), va,
+                          out=sums[:heads * m * (dh + 1)].reshape(heads, m, dh + 1))
+            o = heads_out[:m]
+            np.divide(t[..., :dh], t[..., dh:], out=o.transpose(1, 0, 2))
+            np.matmul(o.reshape(m, d), lw.wo, out=out[r])
+        return run
+
+    _for_row_blocks(n, max(n * (dh + 1), d * d), n * (heads * n * (2 * dh + 1) + d * d),
+                    start_tiles)
+    return out
 
 
 def feed_forward(x: np.ndarray, lw: LayerWeights) -> np.ndarray:
-    return np.maximum(x @ lw.w1, 0.0) @ lw.w2
+    """relu(x @ w1) @ w2, both products in row blocks of d·ff multiply-adds per row."""
+    n = x.shape[0]
+    out = np.empty((n, lw.w2.shape[1]))
+
+    def start(rows):
+        def run(r):
+            h = np.matmul(x[r], lw.w1)
+            np.matmul(np.maximum(h, 0.0, out=h), lw.w2, out=out[r])
+        return run
+
+    _for_row_blocks(n, lw.w1.size, 2 * n * lw.w1.size, start)
+    return out
 
 
 def block_forward(x: np.ndarray, lw: LayerWeights, heads: int,

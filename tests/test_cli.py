@@ -3,6 +3,7 @@ import json
 import os
 import resource
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -247,6 +248,26 @@ def test_simulate_on_an_image(tmp_path, monkeypatch, feat):
     assert calls
 
 
+def test_demo_runs_and_toolkit_commands_start_no_thread(tmp_path, capsys):
+    # no stage of a 16x16, d=32 run reaches toymodel.POOL_MIN_MACS
+    rng = np.random.default_rng(5)
+    gpath, spath, ipath = tmp_path / "g.luvc", tmp_path / "sched.json", tmp_path / "i.pgm"
+    write_luvc1(TokenGrid.from_data(rng.normal(size=(16, 16, 32))), gpath)
+    write_pgm(ipath, rng.integers(0, 256, size=(64, 64)).astype(np.uint8))
+    sched = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)), m=2,
+                                llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+    spath.write_text(json.dumps(schedule_to_doc(ToyModelConfig(d=32, heads=4, text_len=8), sched)))
+    before = threading.active_count()
+    for argv in (["simulate", gpath, "--schedule", spath],
+                 ["spectrum", gpath, "--heatmap", tmp_path / "heat.pgm"],
+                 ["spectrum", ipath, "--feat", "dct", "--patch", 8],
+                 ["merge", gpath, "--m", 2, "--oim-steps", 3, "--out", tmp_path / "m.luvc"],
+                 ["baseline", gpath, "--kind", "bilinear", "--target-h", 8, "--target-w", 8,
+                  "--out", tmp_path / "b.luvc"]):
+        assert run(argv) == 0, argv
+        assert threading.active_count() == before, argv
+
+
 def test_baseline_subcommand(grid_file, tmp_path, capsys):
     out = tmp_path / "base.luvc"
     code = run(["baseline", grid_file, "--kind", "random2d",
@@ -457,11 +478,12 @@ def test_score_block_past_the_byte_budget_exits_2(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(tokens, "BYTE_BUDGET", 1 << 20)
     assert run(argv + [100]) == 0
     assert run(argv + [400]) == 2
-    assert "llm attention over 656 tokens needs a 3442688-byte score block" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "llm attention over 656 tokens computes 3442688 bytes of scores per head" in err
     monkeypatch.setattr(tokens, "BYTE_BUDGET", 8 * 256 * 256 - 1)
     assert run(argv + [0]) == 2
     assert "encoder attention over 256 tokens" in capsys.readouterr().err
-    # at the full budget, a score block of 8 * 10256² bytes is refused before any layer runs
+    # at the full budget, 8 * 10256² bytes of scores per head are refused before any layer runs
     monkeypatch.undo()
     tracemalloc.start()
     try:

@@ -408,3 +408,39 @@ def test_weight_cache_changes_no_number(monkeypatch, side, d):
     digests.append(digest())  # served from the cache
     assert len(outputs) == 3 and len(set(digests)) == 1
     assert held == [0, 8 * (18 * 8 * d * d + 4 * d * d + 8 * d)]
+
+
+@pytest.mark.parametrize("side,d,text_len", [(16, 32, 8), (32, 64, 16)])
+def test_outputs_do_not_depend_on_the_pool(monkeypatch, side, d, text_len):
+    grid = rand_grid(side, side, side, d)
+    cfg = ToyModelConfig(d=d, heads=4, seed=side, text_len=text_len)
+    sched = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)),
+                                m=2, llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+    recorded = []
+    encoder_run, llm, prune = pipeline._encoder_run, pipeline.llm_forward, pipeline.spectral_prune
+
+    def recording(real, *parts):
+        def wrapper(*args, **kwargs):
+            out = real(*args, **kwargs)
+            recorded.extend(part(out).tobytes() for part in parts)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "_encoder_run", recording(
+        encoder_run, lambda out: out[0].data, lambda out: out[0].sizes))
+    monkeypatch.setattr(pipeline, "llm_forward", recording(llm, lambda out: out[0].data))
+    monkeypatch.setattr(pipeline, "spectral_prune", recording(prune, lambda out: out[1].kept))
+
+    def outputs():
+        recorded.clear()
+        doc = run_experiment(grid, None, cfg, sched).to_doc()
+        del doc["timings_ms"]
+        return doc, tuple(recorded)
+
+    runs = []
+    for threads in (0, 0, 1, 1):  # the calling thread alone, then with a pool thread
+        monkeypatch.setattr(toymodel, "POOL_THREADS", threads)
+        runs.append(outputs())
+    # merged grid and sizes, the kept set of each of the two prunes, the hidden states
+    assert len(runs[0][1]) == 5
+    assert all(run == runs[0] for run in runs)

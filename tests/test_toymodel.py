@@ -1,18 +1,23 @@
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tokcomp import toymodel
+from tokcomp import pipeline, toymodel
 from tokcomp.errors import ShapeError
 from tokcomp.merging import size_boost
 from tokcomp.pipeline import CompressionSchedule, run_experiment
-from tokcomp.tokens import TokenGrid
+from tokcomp.tokens import TokenGrid, TokenSequence
 from tokcomp.toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
                               attention, block_forward, connector_matrix,
-                              layer_weights, sinusoidal_positions, softmax_rows,
-                              tensor_seed, text_tokens, uniform_tensor)
+                              feed_forward, layer_weights, sinusoidal_positions,
+                              softmax_rows, tensor_seed, text_tokens,
+                              uniform_tensor)
 
 
 def test_splitmix64_canonical_vectors():
@@ -113,34 +118,29 @@ def test_unit_sizes_take_the_plain_path():
     assert np.array_equal(attention(x, lw, 2, sizes=np.ones(5)), attention(x, lw, 2))
 
 
-def head_row_blocks(n, dh):
-    """Row blocks of one head: two halves when the value product reaches
-    BLAS_ONE_THREAD_MACS and each half's stays under it, else all rows."""
-    half, macs = (n + 1) // 2, n * (dh + 1)
-    if half * macs < toymodel.BLAS_ONE_THREAD_MACS <= n * macs:
-        return [(0, half), (half, n)]
-    return [(0, n)]
-
-
 def batched_attention(x, lw, heads, sizes=None):
-    """All heads in one score tensor per row block, the row sums carried by
-    v's ones column."""
+    """All heads in one score tensor per row tile of toymodel._row_blocks, the
+    row sums carried by v's ones column, every product in the model's row blocks."""
     n, d = x.shape
     dh = d // heads
-    q = (x @ lw.wq) / np.sqrt(dh)
-    v = x @ lw.wv if sizes is None else size_boost(x @ lw.wv, sizes)
-    qh, kh, vh = (t.reshape(n, heads, dh).transpose(1, 0, 2) for t in (q, x @ lw.wk, v))
+
+    def rows(w):
+        return np.concatenate([x[r] @ w for r in toymodel._row_blocks(n, w.size)])
+
+    q = rows(lw.wq) / np.sqrt(dh)
+    v = rows(lw.wv) if sizes is None else size_boost(rows(lw.wv), sizes)
+    qh, kh, vh = (t.reshape(n, heads, dh).transpose(1, 0, 2) for t in (q, rows(lw.wk), v))
     bound = np.linalg.norm(qh, axis=-1).max(axis=-1) * np.linalg.norm(kh, axis=-1).max(axis=-1)
     exact = bound > toymodel.SHIFT_MAX
     va = np.concatenate([vh, np.ones((heads, n, 1))], axis=-1)
     parts = []
-    for a, b in head_row_blocks(n, dh):
-        s = qh[:, a:b] @ kh.mT
+    for r in toymodel._row_blocks(n, max(n * (dh + 1), d * d)):
+        s = qh[:, r] @ kh.mT
         s[exact] -= s[exact].max(axis=-1, keepdims=True)
-        parts.append(np.exp(s) @ va)
-    r = np.concatenate(parts, axis=1)
-    out = r[..., :dh] / r[..., dh:]
-    return out.transpose(1, 0, 2).reshape(n, d) @ lw.wo
+        t = np.exp(s) @ va
+        out = t[..., :dh] / t[..., dh:]
+        parts.append(out.transpose(1, 0, 2).reshape(-1, d) @ lw.wo)
+    return np.concatenate(parts)
 
 
 def previous_attention(x, lw, heads, sizes=None):
@@ -240,7 +240,8 @@ def test_pipeline_runs_stay_on_the_folded_path(exact_shifts):
 
 @pytest.fixture
 def score_blocks(monkeypatch):
-    """Shapes of the score blocks softmax_rows exponentiates, in call order."""
+    """Shapes of the score tiles softmax_rows exponentiates, in call order
+    (in completion order when the pool runs them)."""
     blocks = []
     real_softmax = toymodel.softmax_rows
 
@@ -254,11 +255,13 @@ def score_blocks(monkeypatch):
 
 @pytest.mark.parametrize("sized", [False, True])
 def test_attention_runs_one_head_at_a_time_bit_identically(score_blocks, sized):
+    # each head's products are those of a per-head loop; the heads of a row
+    # tile run stacked, and the result equals the all-heads reference exactly
     heads, d = 4, 32
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=4), STAGE_ENCODER, 2)
     rng = np.random.default_rng(5)
-    # 257·257·9 multiply-adds reach BLAS_ONE_THREAD_MACS and 129·257·9 do not
-    per_head = {257: [(129, 257), (128, 257)]}
+    # 257·9 multiply-adds per row: 226 rows stay under BLAS_ONE_THREAD_MACS
+    tiles = {257: [(heads, 129, 257), (heads, 128, 257)]}
     for n in (1, 2, 20, 33, 257):
         sizes = rng.integers(1, 5, size=n).astype(float) if sized else None
         # folded heads, then heads shifted by their exact row max
@@ -266,43 +269,131 @@ def test_attention_runs_one_head_at_a_time_bit_identically(score_blocks, sized):
             score_blocks.clear()
             assert np.array_equal(attention(x, lw, heads, sizes),
                                   batched_attention(x, lw, heads, sizes)), n
-            assert score_blocks == per_head.get(n, [(n, n)]) * heads
+            assert score_blocks == tiles.get(n, [(heads, n, n)])
 
 
-@pytest.mark.parametrize("d,n,halves", [
-    (32, 241, False), (32, 242, True), (32, 340, True), (32, 341, False),
-    (64, 175, False), (64, 176, True), (64, 248, True), (64, 249, False)])
-def test_heads_just_past_the_two_thread_size_run_as_row_halves(score_blocks, d, n, halves):
+@pytest.fixture
+def products(monkeypatch):
+    """Multiply-adds of each 2-D product that np.matmul hands to BLAS."""
+    macs = []
+    real = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        macs.append(a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return macs
+
+
+@pytest.mark.parametrize("d,n", [(32, 241), (32, 242), (32, 340), (32, 341),
+                                 (64, 175), (64, 176), (64, 248), (64, 249), (64, 1024)])
+def test_every_product_stays_under_the_one_thread_size(products, d, n):
     heads = 4
     lw = layer_weights(ToyModelConfig(d=d, heads=heads, seed=d + n), STAGE_ENCODER, 1)
     rng = np.random.default_rng(n)
-    half = (n + 1) // 2
-    want_blocks = [(half, n), (n - half, n)] if halves else [(n, n)]
     # folded heads, then heads shifted by their exact row max
     for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
         for sizes in (None, rng.integers(1, 6, size=n).astype(float)):
-            score_blocks.clear()
+            products.clear()
             got = attention(x, lw, heads, sizes)
-            assert score_blocks == want_blocks * heads
+            feed_forward(x, lw)
+            assert products and max(products) < toymodel.BLAS_ONE_THREAD_MACS
             assert np.array_equal(got, batched_attention(x, lw, heads, sizes))
             want = previous_attention(x, lw, heads, sizes)
             diff = np.abs(got - want).max()
             assert diff <= 1e-13 * np.abs(want).max(), (sizes is None, diff)
 
 
-def test_attention_holds_one_score_block():
+def test_a_hires_run_makes_no_product_past_the_one_thread_size(products):
+    sched = CompressionSchedule(enc_layers=6, merge_pairs=((0, 1), (2, 3), (4, 5)), m=2,
+                                llm_layers=12, l0=6, l_delta=3, projector_factor=2)
+    rng = np.random.default_rng(0)
+    cfg = ToyModelConfig(d=64, heads=4, text_len=16)
+    run_experiment(TokenGrid.from_data(rng.normal(size=(32, 32, 64))), None, cfg, sched)
+    # q/k/v, scores, values, wo and feed-forward per layer, and the connector
+    assert len(products) > 18 * 5
+    assert max(products) < toymodel.BLAS_ONE_THREAD_MACS
+    # the connector of that run: 13x13 shuffled tokens of width 4 * 64
+    products.clear()
+    pipeline._connect(TokenSequence.from_data(rng.normal(size=(169, 256))), cfg)
+    assert products and max(products) < toymodel.BLAS_ONE_THREAD_MACS
+
+
+def test_attention_holds_one_score_block(score_blocks, monkeypatch):
+    monkeypatch.setattr(toymodel, "POOL_THREADS", 1)
     for n, d, heads in ((512, 32, 4), (1024, 64, 4)):
         lw = layer_weights(ToyModelConfig(d=d, heads=heads), STAGE_ENCODER, 0)
         rng = np.random.default_rng(0)
+        tile_bytes = 8 * heads * toymodel.BLAS_ONE_THREAD_MACS / (d // heads + 1)
         # folded heads, then heads shifted by their exact row max
         for x in (rng.normal(size=(n, d)), rng.uniform(0, 100, size=(n, d))):
+            score_blocks.clear()
             tracemalloc.start()
             try:
                 attention(x, lw, heads)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * 8 * n * n, (n, peak)
+            assert max(8 * math.prod(shape) for shape in score_blocks) < tile_bytes
+            # q, k, v, v' and the output, then one tile for each of two threads
+            assert peak < 6 * 8 * n * d + 2 * tile_bytes, (n, peak)
+
+
+def test_worker_blocks_run_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(toymodel, "POOL_THREADS", 1)
+    caller, taken = threading.get_ident(), threading.Event()
+
+    def start(rows):
+        def run(r):
+            if threading.get_ident() == caller:
+                assert taken.wait(10)  # hold the caller until a pool thread has a block
+            else:
+                taken.set()
+                np.exp(np.full(rows, 1000.0))
+        return run
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        toymodel._for_row_blocks(4, toymodel.BLAS_ONE_THREAD_MACS // 2, toymodel.POOL_MIN_MACS,
+                                 start)
+    assert taken.is_set()
+
+
+def test_an_exception_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(toymodel, "POOL_THREADS", 1)
+    caller, taken, done = threading.get_ident(), threading.Event(), []
+
+    def start(rows):
+        def run(r):
+            if threading.get_ident() != caller:
+                taken.set()
+                raise KeyError(r.start)
+            assert taken.wait(10)
+            done.append(r.start)
+        return run
+
+    with pytest.raises(KeyError):
+        toymodel._for_row_blocks(4, toymodel.BLAS_ONE_THREAD_MACS // 2, toymodel.POOL_MIN_MACS,
+                                 start)
+    # the caller still ran the blocks the failed thread did not take
+    assert len(done) == 3
+
+
+def test_a_forked_child_starts_its_own_pool(monkeypatch):
+    monkeypatch.setattr(toymodel, "POOL_THREADS", 1)
+    lw = layer_weights(ToyModelConfig(d=64, heads=4), STAGE_ENCODER, 0)
+    x = np.random.default_rng(0).normal(size=(1024, 64))
+    want = attention(x, lw, 4)  # starts the pool in this process
+    pid = os.fork()
+    if pid == 0:  # the child has none of the pool's threads
+        os._exit(0 if np.array_equal(attention(x, lw, 4), want) else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_attention_refuses_bad_sizes():
