@@ -9,8 +9,12 @@ unreadable input), 3 internal error (a bug; the traceback is printed).
 Each input is read through one open by images.load_grid and sniffed by its
 magic bytes: LUVC1 binary grids, JSON grid fixtures, or PGM/PPM images
 (featurized on the fly with --patch/--feat), so pipes and FIFOs work as
-inputs.  An input past tokens.BYTE_BUDGET bytes, and a simulate run whose
-attention computes more bytes of scores per head than that, are data errors.
+inputs.  A data error is an errors.DataError (FormatError, ShapeError,
+ScheduleError) or an OSError; every other exception, MemoryError included,
+is an internal error.  An input past tokens.BYTE_BUDGET bytes, and a
+simulate run whose attention computes more bytes of scores per head, or
+whose model block generates more bytes of weights, than that, are data
+errors.
 
 The parser is built once per process and reused; every parse starts from a
 fresh namespace, so cli_main can be called repeatedly in one process.
@@ -29,6 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import images, merging, pipeline, spectral, theory, toymodel
+from .errors import DataError
 from .metrics import LayerCount, reduction_ratio
 from .tokens import overwrite_file, sequence_from_grid
 from .tokens import read_luvc1, write_luvc1  # noqa: F401  perfbench traces both names here
@@ -258,7 +263,7 @@ def cli_main(argv) -> int:
         return 1
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
-    except (ValueError, OSError) as e:  # every data error the toolkit raises
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except Exception:

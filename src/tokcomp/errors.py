@@ -1,15 +1,20 @@
 """Exception types shared across the toolkit."""
 
 
-class ShapeError(ValueError):
+class DataError(ValueError):
+    """Input the toolkit refuses; the CLI exits 2 on it.  Any other exception
+    is a bug."""
+
+
+class ShapeError(DataError):
     """Container dimensions do not match what an operation requires."""
 
 
-class FormatError(ValueError):
+class FormatError(DataError):
     """A file (LUVC1 grid, JSON document, PGM/PPM image) is malformed."""
 
 
-class ScheduleError(ValueError):
+class ScheduleError(DataError):
     """A compression schedule violates its structural constraints."""
 
 

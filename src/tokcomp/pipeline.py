@@ -25,8 +25,8 @@ from .merging import check_lane_merges, lane_match_ops, merge_height, merge_widt
 from .metrics import CompressionReport, LayerCount, pipeline_flops, reduction_ratio
 from .spectral import FILTER_MODES, spectral_prune
 from .tokens import TokenGrid, TokenSequence, concat_tokens, read_json_doc, strict_index
-from .toymodel import (STAGE_ENCODER, STAGE_LLM, ToyModelConfig, block_forward,
-                       connector_matrix, layer_weights, matmul_rows,
+from .toymodel import (FF_EXPANSION, STAGE_ENCODER, STAGE_LLM, ToyModelConfig,
+                       block_forward, connector_matrix, layer_weights, matmul_rows,
                        sinusoidal_positions, text_tokens)
 
 SCHEDULE_SCHEMA = 1
@@ -247,7 +247,9 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
     feed are refused up front, with the errors the stages would raise.  So
     is a stage whose first layer, its widest, computes more than
     tokens.BYTE_BUDGET bytes of attention scores per head (8n² for n
-    tokens), though attention holds only a few row tiles of them at a time.
+    tokens), though attention holds only a few row tiles of them at a time,
+    and a model whose block generates more than that budget in weights
+    (8d²·(4 + 2·FF_EXPANSION) bytes, so any d past 2048).
     """
     if sched.enc_layers == 0 and sched.llm_layers == 0:
         raise ScheduleError("schedule runs no encoder or LLM layer, so there is nothing to report")
@@ -268,6 +270,10 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
         if layers and 8 * n * n > tokens.BYTE_BUDGET:
             raise ScheduleError(f"{stage} attention over {n} tokens computes {8 * n * n} bytes "
                                 f"of scores per head, past the {tokens.BYTE_BUDGET}-byte budget")
+    weight_bytes = 8 * cfg.d * cfg.d * (4 + 2 * FF_EXPANSION)
+    if weight_bytes > tokens.BYTE_BUDGET:
+        raise ScheduleError(f"a block of d={cfg.d} generates {weight_bytes} bytes of weights, "
+                            f"past the {tokens.BYTE_BUDGET}-byte budget")
     t0 = time.perf_counter()
     enc_grid, enc_trace, sim_ops = _encoder_run(grid, cfg, sched)
     t1 = time.perf_counter()
@@ -304,7 +310,7 @@ def baseline_compress(grid: TokenGrid, kind: str, target_h: int, target_w: int,
     if kind == "drop_all":
         return TokenGrid(0, 0, grid.d, np.zeros((0, 0, grid.d)), np.zeros((0, 0)))
     if not (0 <= target_h <= grid.h and 0 <= target_w <= grid.w):
-        raise ValueError(f"targets {target_h}x{target_w} exceed source {grid.h}x{grid.w}")
+        raise ShapeError(f"targets {target_h}x{target_w} exceed source {grid.h}x{grid.w}")
     if kind == "random2d":
         rng = np.random.default_rng(seed)
         flat = np.sort(rng.choice(grid.n_tokens, size=target_h * target_w, replace=False))

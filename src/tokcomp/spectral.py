@@ -19,11 +19,10 @@ DC weight 1), which keeps real inputs real after inverse transform.
 Transforms are `np.fft.fft` / `np.fft.ifft` along the token axis, which
 handle any token count (counts after merging are rarely powers of two).
 A spectrum is a ``ComplexSequence``, one read-only (n, d) complex128 array;
-`dft_forward`, `dft_inverse` and `apply_filter` wrap the fresh array they
-compute with ``ComplexSequence._adopt``, which freezes it in place instead
-of copying it.  A mask is a read-only (n,) coefficient array, and
-`apply_filter` is the one place that checks a mask's length and its [0, 1]
-range.
+`dft_forward`, `dft_inverse` and `spectral_prune`'s masked product wrap the
+fresh array they compute with ``ComplexSequence._adopt``, which freezes it
+in place instead of copying it.  A mask is the read-only (n,) coefficient
+array that `make_filter` builds, in [0, 1] by construction.
 Correctness is pinned to a direct-summation oracle in the test suite, not to
 the fast path.
 """
@@ -90,23 +89,6 @@ def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> np.ndarray:
     return coeffs
 
 
-def apply_filter(freq: ComplexSequence, coeffs: np.ndarray) -> ComplexSequence:
-    """Bin-wise real scaling of the spectrum across all channels by (n,)
-    coefficients in [0, 1]."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (freq.n,):
-        raise ShapeError(f"spectrum has {freq.n} bins, filter shape {coeffs.shape}")
-    if not np.all((coeffs >= 0) & (coeffs <= 1)):  # NaN fails
-        raise ValueError("filter coefficients must lie in [0, 1]")
-    return ComplexSequence._adopt(freq.data * coeffs[:, None])
-
-
-def token_energy(filtered: ComplexSequence) -> np.ndarray:
-    """Per-token L2 norm over channels of the complex filtered signal."""
-    z = filtered.data
-    return np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1))
-
-
 def cutoff_from_ratio(n: int, sigma_ratio: float) -> int:
     """Cutoff bin for a pass fraction of the n bins: max(0, ceil(r*n) - 1)."""
     if not 0 < sigma_ratio <= 1:
@@ -156,7 +138,8 @@ def spectral_prune(seq: TokenSequence, sigma_ratio: float, keep: int,
         empty = np.zeros(0)
         return seq, EnergyRanking(empty, empty.astype(np.int64))
     coeffs = make_filter(seq.n, cutoff_from_ratio(seq.n, sigma_ratio), mode)
-    energies = token_energy(dft_inverse(apply_filter(dft_forward(seq), coeffs)))
+    z = dft_inverse(ComplexSequence._adopt(dft_forward(seq).data * coeffs[:, None])).data
+    energies = np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1))  # per-token modulus
     kept = topk_ascending(energies, keep)
     pruned = TokenSequence(keep, seq.d, seq.data[kept], seq.positions[kept], seq.orig_len)
     return pruned, EnergyRanking(energies, kept)

@@ -1,18 +1,25 @@
 import builtins
+import contextlib
+import io
 import json
 import os
 import resource
 import sys
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import write_grid_json
-from tokcomp import tokens
+from tokcomp import merging, tokens
 from tokcomp.cli import build_parser, cli_main
-from tokcomp.images import write_pgm
+from tokcomp.images import load_grid, write_pgm
+from tokcomp.pipeline import BASELINE_KINDS
 from tokcomp.metrics import CompressionReport
 from tokcomp.pipeline import (CompressionSchedule, no_compression_schedule,
                               schedule_to_doc)
@@ -545,6 +552,75 @@ def test_internal_errors_exit_3_with_a_traceback(grid_file, monkeypatch, capsys)
     assert run(["spectrum", grid_file]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: broken on purpose" in err
+
+
+def test_a_numpy_error_inside_tokcomp_exits_3(grid_file, tmp_path, monkeypatch, capsys):
+    # numpy raises ValueError for its own shape errors: that is a bug, not bad input
+    real = merging._unit_rows
+
+    def broken(x, out=None):
+        return real(x, out) + np.zeros(x.shape[-1] + 1)
+
+    monkeypatch.setattr(merging, "_unit_rows", broken)
+    assert run(["merge", grid_file, "--m", 1, "--out", tmp_path / "out.luvc"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "could not be broadcast" in err
+    assert "data error" not in err
+
+
+FUZZ_FORMATS = ("json", "luvc1", "pgm", "schedule")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Valid bytes of each input format; every grid is 4x4 tokens of d = 4
+    (the image through --patch 2), which the schedule's model takes."""
+    rng = np.random.default_rng(26)
+    grid = TokenGrid.from_data(rng.normal(size=(4, 4, 4)))
+    schedule = {"schema": 1, "model": {"d": 4, "heads": 2, "seed": 3},
+                "schedule": {"enc_layers": 2, "merge_pairs": [[0, 1]], "m": 1,
+                             "llm_layers": 4, "l0": 1, "l_delta": 1}}
+    tmp = tmp_path_factory.mktemp("fuzz")
+    write_luvc1(grid, tmp / "luvc1")
+    write_pgm(tmp / "pgm", rng.integers(0, 256, size=(8, 8), dtype=np.uint8))
+    write_grid_json(grid, tmp / "json")
+    # compact, so that a few byte edits cannot lengthen a number (a layer count)
+    (tmp / "schedule").write_text(json.dumps(schedule, separators=(",", ":")))
+    return {name: (tmp / name).read_bytes() for name in FUZZ_FORMATS}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FUZZ_FORMATS), st.sampled_from(BASELINE_KINDS), st.data())
+def test_mutated_inputs_exit_0_or_2_and_outputs_read_back(fuzz_inputs, name, kind, data):
+    blob = bytearray(fuzz_inputs[name])
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789-.e"))
+    for at, value in data.draw(st.lists(st.tuples(st.integers(0, len(blob) - 1), byte),
+                                        min_size=1, max_size=4)):
+        blob[at] = value
+    blob = blob[:data.draw(st.integers(0, len(blob)) | st.just(len(blob)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {other: tmp / other for other in FUZZ_FORMATS}
+        for other, path in files.items():
+            path.write_bytes(bytes(blob) if other == name else fuzz_inputs[other])
+        grid = files[name if name != "schedule" else "luvc1"]
+        heat, mask, merged, base = (tmp / out for out in ("heat", "mask", "merged", "base"))
+        runs = (
+            (["spectrum", grid, "--heatmap", heat, "--mask", mask], (heat, mask)),
+            (["merge", grid, "--m", 1, "--out", merged], (merged,)),
+            (["baseline", grid, "--kind", kind, "--target-h", 2, "--target-w", 3,
+              "--out", base], (base,)),
+            (["simulate", grid, "--schedule", files["schedule"], "--text-len", 2], ()),
+        )
+        for argv, written in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv + ["--patch", 2])
+            assert code in (0, 2) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+            if code == 0:
+                json.loads(out.getvalue())
+                for path in written:
+                    load_grid(path, 1)
 
 
 def test_help_exits_0(capsys):

@@ -250,7 +250,7 @@ def test_drop_all_returns_empty_grid():
 
 
 def test_baseline_rejects_bad_targets():
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="targets 5x2 exceed source 4x4"):
         baseline_compress(rand_grid(0, 4, 4, 2), "nearest", 5, 2)
     with pytest.raises(ValueError):
         baseline_compress(rand_grid(0, 4, 4, 2), "mystery", 2, 2)
@@ -323,6 +323,26 @@ def test_schedule_that_cannot_fit_the_grid_is_refused_before_any_layer(
     with pytest.raises(error, match=message):
         run_experiment(rand_grid(9, 8, 8, 8), None, ToyModelConfig(d=8, heads=2), sched)
     assert calls == []
+
+
+@pytest.mark.parametrize("d,refused", [(2048, False), (2052, True)])
+def test_block_weights_past_the_budget_are_refused_before_any_layer(monkeypatch, d, refused):
+    # 8d²·8 bytes of weights per block: 2^28 at d = 2048, about 270 MB at 2052
+    class Built(Exception):
+        pass
+
+    def building(*args):
+        raise Built
+
+    monkeypatch.setattr(pipeline, "layer_weights", building)
+    grid, cfg = rand_grid(1, 2, 2, d), ToyModelConfig(d=d, heads=4, text_len=1)
+    sched = CompressionSchedule(enc_layers=1, llm_layers=1)
+    if refused:
+        with pytest.raises(ScheduleError, match=f"a block of d={d} generates {64 * d * d} bytes"):
+            run_experiment(grid, None, cfg, sched)
+    else:
+        with pytest.raises(Built):
+            run_experiment(grid, None, cfg, sched)
 
 
 def test_report_matches_independent_recomputation():

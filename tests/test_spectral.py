@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import direct_dft, direct_idft, naive_filter_energies
+from tokcomp import spectral
 from tokcomp.errors import ShapeError
-from tokcomp.spectral import (EnergyRanking, apply_filter, cutoff_from_ratio,
-                              dft_forward, dft_inverse, make_filter,
-                              spectral_prune, token_energy, topk_ascending)
+from tokcomp.spectral import (EnergyRanking, cutoff_from_ratio, dft_forward,
+                              dft_inverse, make_filter, spectral_prune,
+                              topk_ascending)
 from tokcomp.tokens import ComplexSequence, TokenSequence
 
 
@@ -76,9 +77,8 @@ def test_round_trip_and_parseval(n, d, seed):
 
 def test_transforms_freeze_their_fresh_arrays_in_place(monkeypatch):
     data = np.random.default_rng(4).normal(size=(37, 5))
-    coeffs = make_filter(37, 9)
     want_freq = np.fft.fft(data, axis=0)
-    want_filtered = want_freq * coeffs[:, None]
+    want_filtered = want_freq * make_filter(37, 9)[:, None]
     want_back = np.fft.ifft(want_filtered, axis=0)
     fresh = []
 
@@ -91,14 +91,31 @@ def test_transforms_freeze_their_fresh_arrays_in_place(monkeypatch):
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name)))
     freq = dft_forward(TokenSequence.from_data(data))
-    filtered = apply_filter(freq, coeffs)
-    back = dft_inverse(filtered)
+    back = dft_inverse(ComplexSequence(37, 5, want_filtered))
     assert freq.data is fresh[0] and back.data is fresh[1]  # wrapped, not copied
-    for got, want in ((freq, want_freq), (filtered, want_filtered), (back, want_back)):
+    for got, want in ((freq, want_freq), (back, want_back)):
         assert (got.n, got.d) == (37, 5)
         assert got.data.dtype == np.complex128 and np.array_equal(got.data, want)
         with pytest.raises(ValueError):
             got.data[0, 0] = 0
+
+
+def test_spectral_prune_runs_each_transform_once(monkeypatch):
+    # the traced transforms are the ones the pipeline's prune runs
+    calls = []
+
+    def counting(name):
+        real = getattr(spectral, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("dft_forward", "dft_inverse"):
+        monkeypatch.setattr(spectral, name, counting(name))
+    spectral_prune(rand_seq(6, 25, 4), 0.25, 12)
+    assert sorted(calls) == ["dft_forward", "dft_inverse"]
 
 
 def test_spectral_prune_holds_about_two_spectra():
@@ -159,48 +176,21 @@ def test_filter_is_read_only():
         coeffs[0] = 0.5
 
 
-def test_apply_filter_identity_and_zero():
-    freq = dft_forward(rand_seq(0, 12, 3))
-    same = apply_filter(freq, np.ones(12))
-    assert np.array_equal(same.data, freq.data)
-    gone = apply_filter(freq, np.zeros(12))
-    assert not gone.data.any()
-
-
-def test_apply_filter_length_mismatch():
-    freq = dft_forward(rand_seq(0, 6, 1))
-    with pytest.raises(ShapeError):
-        apply_filter(freq, make_filter(8, 2, "as-written"))
-    for coeffs in (np.ones(5), np.ones(7), np.ones((6, 1)), np.ones((1, 6)), 1.0):
-        with pytest.raises(ShapeError):
-            apply_filter(freq, coeffs)
-
-
-@pytest.mark.parametrize("bad", [-0.01, 1.01, np.nan, np.inf])
-def test_apply_filter_rejects_coefficients_outside_unit_range(bad):
-    freq = dft_forward(rand_seq(0, 6, 2))
-    coeffs = np.full(6, 0.5)
-    coeffs[3] = bad
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        apply_filter(freq, coeffs)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 64), st.integers(1, 4), st.integers(0, 2**32 - 1), st.booleans())
 def test_filtering_contracts_energy(n, d, seed, symmetric):
+    # masks lie in [0, 1], so by Parseval the filtered signal holds no more
+    # energy than the tokens themselves
     seq = rand_seq(seed, n, d)
-    freq = dft_forward(seq)
-    filt = make_filter(n, n // 2, "symmetric" if symmetric else "as-written")
-    out = apply_filter(freq, filt)
-    before = np.sum(freq.data.real ** 2 + freq.data.imag ** 2, axis=0)
-    after = np.sum(out.data.real ** 2 + out.data.imag ** 2, axis=0)
-    assert np.all(after <= before + 1e-12)
+    _, ranking = spectral_prune(seq, 0.5, n, "symmetric" if symmetric else "as-written")
+    before = np.sum(seq.data ** 2)
+    assert np.sum(ranking.energies ** 2) <= before * (1 + 1e-12) + 1e-12
 
 
 def test_symmetric_mode_keeps_real_input_real():
     seq = rand_seq(5, 24, 4)
     filt = make_filter(24, 5, "symmetric")
-    filtered = dft_inverse(apply_filter(dft_forward(seq), filt))
+    filtered = dft_inverse(ComplexSequence(24, 4, dft_forward(seq).data * filt[:, None]))
     scale = max(1.0, np.abs(seq.data).max())
     assert np.abs(filtered.data.imag).max() / scale < 1e-9
 
@@ -209,28 +199,28 @@ def test_symmetric_mode_keeps_real_input_real():
 
 def test_constant_tokens_have_equal_energy():
     data = np.tile(np.array([2.0, -1.0, 0.5]), (9, 1))
-    seq = TokenSequence.from_data(data)
-    filt = make_filter(9, 2, "symmetric")
-    e = token_energy(dft_inverse(apply_filter(dft_forward(seq), filt)))
-    assert np.allclose(e, e[0], atol=1e-12)
+    assert cutoff_from_ratio(9, 0.3) == 2
+    _, ranking = spectral_prune(TokenSequence.from_data(data), 0.3, 9, "symmetric")
+    naive = naive_filter_energies(data, make_filter(9, 2, "symmetric"))
+    assert np.allclose(ranking.energies, ranking.energies[0], atol=1e-12)
+    assert np.abs(ranking.energies - naive).max() < 1e-9
 
 
 def test_zero_input_zero_energy():
-    seq = TokenSequence.from_data(np.zeros((6, 2)))
-    filt = make_filter(6, 1, "as-written")
-    e = token_energy(dft_inverse(apply_filter(dft_forward(seq), filt)))
-    assert np.array_equal(e, np.zeros(6))
+    data = np.zeros((6, 2))
+    assert cutoff_from_ratio(6, 0.25) == 1
+    _, ranking = spectral_prune(TokenSequence.from_data(data), 0.25, 3)
+    assert np.array_equal(ranking.energies, np.zeros(6))
+    assert np.array_equal(naive_filter_energies(data, make_filter(6, 1, "as-written")), np.zeros(6))
 
 
 @pytest.mark.parametrize("mode", ["as-written", "symmetric"])
 @pytest.mark.parametrize("n,d", [(11, 3), (16, 1), (40, 6)])
 def test_energies_match_naive_pipeline(mode, n, d):
     seq = rand_seq(n * 100 + d, n, d)
-    sigma = cutoff_from_ratio(n, 0.25)
-    filt = make_filter(n, sigma, mode)
-    fast = token_energy(dft_inverse(apply_filter(dft_forward(seq), filt)))
-    naive = naive_filter_energies(seq.data, filt)
-    assert np.abs(fast - naive).max() < 1e-9
+    _, ranking = spectral_prune(seq, 0.25, n // 2, mode)
+    naive = naive_filter_energies(seq.data, make_filter(n, cutoff_from_ratio(n, 0.25), mode))
+    assert np.abs(ranking.energies - naive).max() < 1e-9
 
 
 def test_topk_selection_order():
