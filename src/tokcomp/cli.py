@@ -13,8 +13,9 @@ inputs.  A data error is an errors.DataError (FormatError, ShapeError,
 ScheduleError) or an OSError; every other exception, MemoryError included,
 is an internal error.  An input past tokens.BYTE_BUDGET bytes, and a
 simulate run whose attention computes more bytes of scores per head, or
-whose model block generates more bytes of weights, than that, are data
-errors.
+whose block weights, connector or text tokens take more bytes, than that,
+are data errors; so are a merge that overflows float64 and non-finite
+token energies.
 
 The parser is built once per process and reused; every parse starts from a
 fresh namespace, so cli_main can be called repeatedly in one process.

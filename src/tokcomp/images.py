@@ -122,14 +122,11 @@ def _dct_matrix(p: int) -> np.ndarray:
 
 
 def zigzag_indices(p: int) -> np.ndarray:
-    """Flat indices of a p x p block in serpentine (anti-diagonal) order."""
-    order = []
-    for s in range(2 * p - 1):
-        diag = [(i, s - i) for i in range(p) if 0 <= s - i < p]
-        if s % 2 == 0:
-            diag.reverse()
-        order.extend(r * p + c for r, c in diag)
-    return np.array(order, dtype=np.int64)
+    """Flat indices of a p x p block in serpentine (anti-diagonal) order:
+    by anti-diagonal s = i + j, even ones walked up the rows, odd ones down."""
+    i, j = np.divmod(np.arange(p * p), p)
+    s = i + j
+    return np.lexsort((np.where(s % 2 == 0, j, i), s))
 
 
 def featurize_image(image: np.ndarray, patch: int, mode: str = "raw") -> TokenGrid:

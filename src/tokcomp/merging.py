@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .tokens import TokenGrid
+from .tokens import TokenGrid, _adopt
 
 # Bytes of input rows plus similarities that one matching block may touch.
 # `merge --m 2 --oim-steps 3` on 96x96x32 (4 MiB L2 per core), ms per run over
@@ -94,7 +94,8 @@ def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
     A = even lane positions, B = odd.  Each A token's candidate is its most
     similar B token (ties: lowest B index); the m A tokens with the highest
     candidate similarity (ties: lowest A index) are absorbed into their
-    candidates by size-weighted mean, in ascending A order.
+    candidates by size-weighted mean, in ascending A order.  An absorb that
+    overflows float64 raises ShapeError.
     """
     x = np.asarray(x, dtype=np.float64)
     sizes = np.asarray(sizes, dtype=np.float64)
@@ -120,6 +121,10 @@ def _merge_lanes(x: np.ndarray, sizes: np.ndarray,
         out[rows, b] = (out_sizes[rows, b, None] * out[rows, b]
                         + sizes[rows, a, None] * x[rows, a]) / total[:, None]
         out_sizes[rows, b] = total
+    # only absorbed rows are new, so only they can hold an overflow
+    absorbed = rows[:, None], kept_dst
+    if not (np.isfinite(out[absorbed]).all() and np.isfinite(out_sizes[absorbed]).all()):
+        raise ShapeError(f"merging {m} tokens per lane overflows float64")
     return out, out_sizes
 
 
@@ -127,13 +132,15 @@ def merge_width(grid: TokenGrid, m: int) -> TokenGrid:
     """Merge m tokens out of every row: H x W -> H x (W - m)."""
     if m == 0:
         return grid
-    data, sizes = _merge_lanes(grid.data, grid.sizes, m)
-    return TokenGrid._adopt(data, sizes)
+    return _adopt(TokenGrid, *_merge_lanes(grid.data, grid.sizes, m))
 
 
 def merge_height(grid: TokenGrid, m: int) -> TokenGrid:
     """Merge m tokens out of every column: H x W -> (H - m) x W."""
-    return merge_width(grid.transpose(), m).transpose()
+    if m == 0:
+        return grid
+    data, sizes = _merge_lanes(grid.data.transpose(1, 0, 2), grid.sizes.T, m)
+    return _adopt(TokenGrid, data.transpose(1, 0, 2), sizes.T)
 
 
 def merge_step(grid: TokenGrid, m: int) -> TokenGrid:

@@ -82,7 +82,7 @@ class CompressionSchedule:
         if self.keep_ladder is not None:
             ladder = tuple(strict_index(k) for k in self.keep_ladder)
             object.__setattr__(self, "keep_ladder", ladder)
-            n_spu = self.n_spu_layers
+            n_spu = len(self.spu_layers)
             if len(ladder) != n_spu:
                 raise ScheduleError(f"keep_ladder has {len(ladder)} entries for {n_spu} pruning layers")
             if ladder:
@@ -92,13 +92,8 @@ class CompressionSchedule:
                     raise ScheduleError("keep_ladder must be strictly decreasing")
 
     @property
-    def spu_layers(self) -> tuple[int, ...]:
-        return tuple(range(self.l0, self.llm_layers, self.l_delta))
-
-    @property
-    def n_spu_layers(self) -> int:
-        """len(spu_layers), counted without listing them."""
-        return len(range(self.l0, self.llm_layers, self.l_delta))
+    def spu_layers(self) -> range:
+        return range(self.l0, self.llm_layers, self.l_delta)
 
     def resolved_ladder(self, n_visual: int) -> tuple[int, ...]:
         if self.keep_ladder is not None:
@@ -107,9 +102,8 @@ class CompressionSchedule:
                                     f"but only {n_visual} visual tokens exist")
             return self.keep_ladder
         if n_visual == 0:
-            # degenerate no-visual run: every prune is a no-op
-            return (0,) * self.n_spu_layers
-        return default_keep_ladder(n_visual, self.n_spu_layers)
+            return ()  # nothing to prune
+        return default_keep_ladder(n_visual, len(self.spu_layers))
 
 
 def default_keep_ladder(n_visual: int, n_steps: int) -> tuple[int, ...]:
@@ -248,8 +242,9 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
     is a stage whose first layer, its widest, computes more than
     tokens.BYTE_BUDGET bytes of attention scores per head (8n² for n
     tokens), though attention holds only a few row tiles of them at a time,
-    and a model whose block generates more than that budget in weights
-    (8d²·(4 + 2·FF_EXPANSION) bytes, so any d past 2048).
+    and a model whose block weights (8d²·(4 + 2·FF_EXPANSION) bytes, so any d
+    past 2048), connector (8f²d² bytes for projector factor f) or text tokens
+    (8·text_len·d bytes) would pass that budget.
     """
     if sched.enc_layers == 0 and sched.llm_layers == 0:
         raise ScheduleError("schedule runs no encoder or LLM layer, so there is nothing to report")
@@ -270,10 +265,12 @@ def run_experiment(grid: TokenGrid, text_len: int | None, cfg: ToyModelConfig,
         if layers and 8 * n * n > tokens.BYTE_BUDGET:
             raise ScheduleError(f"{stage} attention over {n} tokens computes {8 * n * n} bytes "
                                 f"of scores per head, past the {tokens.BYTE_BUDGET}-byte budget")
-    weight_bytes = 8 * cfg.d * cfg.d * (4 + 2 * FF_EXPANSION)
-    if weight_bytes > tokens.BYTE_BUDGET:
-        raise ScheduleError(f"a block of d={cfg.d} generates {weight_bytes} bytes of weights, "
-                            f"past the {tokens.BYTE_BUDGET}-byte budget")
+    for what, nbytes in ((f"a block of d={cfg.d}", 8 * cfg.d * cfg.d * (4 + 2 * FF_EXPANSION)),
+                         (f"a connector of factor {f} at d={cfg.d}", 8 * f * f * cfg.d * cfg.d),
+                         (f"a text of {n_text} tokens at d={cfg.d}", 8 * n_text * cfg.d)):
+        if nbytes > tokens.BYTE_BUDGET:
+            raise ScheduleError(f"{what} generates {nbytes} bytes, "
+                                f"past the {tokens.BYTE_BUDGET}-byte budget")
     t0 = time.perf_counter()
     enc_grid, enc_trace, sim_ops = _encoder_run(grid, cfg, sched)
     t1 = time.perf_counter()

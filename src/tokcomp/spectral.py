@@ -20,9 +20,9 @@ Transforms are `np.fft.fft` / `np.fft.ifft` along the token axis, which
 handle any token count (counts after merging are rarely powers of two).
 A spectrum is a ``ComplexSequence``, one read-only (n, d) complex128 array;
 `dft_forward`, `dft_inverse` and `spectral_prune`'s masked product wrap the
-fresh array they compute with ``ComplexSequence._adopt``, which freezes it
-in place instead of copying it.  A mask is the read-only (n,) coefficient
-array that `make_filter` builds, in [0, 1] by construction.
+fresh array they compute with ``tokens._adopt``, which freezes it in place
+instead of copying it.  A mask is the read-only (n,) coefficient array that
+`make_filter` builds, in [0, 1] by construction.
 Correctness is pinned to a direct-summation oracle in the test suite, not to
 the fast path.
 """
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError
-from .tokens import ComplexSequence, TokenSequence, _frozen
+from .tokens import ComplexSequence, TokenSequence, _adopt, _frozen
 
 FILTER_MODES = ("as-written", "symmetric")
 
@@ -44,7 +44,7 @@ def dft_forward(seq: TokenSequence) -> ComplexSequence:
     """X[k] = sum_n x[n] exp(-2i*pi*k*n/N) per channel, along the token axis."""
     if seq.n < 1:
         raise ShapeError("dft_forward needs at least one token")
-    return ComplexSequence._adopt(np.fft.fft(seq.data, axis=0))
+    return _adopt(ComplexSequence, np.fft.fft(seq.data, axis=0))
 
 
 def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
@@ -56,7 +56,7 @@ def dft_inverse(freq: ComplexSequence) -> ComplexSequence:
     """
     if freq.n == 0:
         return freq
-    return ComplexSequence._adopt(np.fft.ifft(freq.data, axis=0))
+    return _adopt(ComplexSequence, np.fft.ifft(freq.data, axis=0))
 
 
 def make_filter(n: int, sigma_t: int, mode: str = "as-written") -> np.ndarray:
@@ -98,7 +98,8 @@ def cutoff_from_ratio(n: int, sigma_ratio: float) -> int:
 
 @dataclass(frozen=True)
 class EnergyRanking:
-    """Per-token energies plus the ascending indices that survived top-k."""
+    """Per-token energies, all finite, plus the ascending indices that survived
+    top-k.  Non-finite energies (a spectrum that overflowed) raise ShapeError."""
 
     energies: np.ndarray = field(repr=False)
     kept: np.ndarray = field(repr=False)
@@ -106,6 +107,8 @@ class EnergyRanking:
     def __post_init__(self):
         energies = np.asarray(self.energies, dtype=np.float64).reshape(-1)
         kept = np.asarray(self.kept, dtype=np.int64).reshape(-1)
+        if not np.isfinite(energies).all():
+            raise ShapeError("token energies hold non-finite values")
         if kept.size:
             if np.any(np.diff(kept) <= 0):
                 raise ValueError("kept indices must be strictly increasing")
@@ -138,7 +141,7 @@ def spectral_prune(seq: TokenSequence, sigma_ratio: float, keep: int,
         empty = np.zeros(0)
         return seq, EnergyRanking(empty, empty.astype(np.int64))
     coeffs = make_filter(seq.n, cutoff_from_ratio(seq.n, sigma_ratio), mode)
-    z = dft_inverse(ComplexSequence._adopt(dft_forward(seq).data * coeffs[:, None])).data
+    z = dft_inverse(_adopt(ComplexSequence, dft_forward(seq).data * coeffs[:, None])).data
     energies = np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1))  # per-token modulus
     kept = topk_ascending(energies, keep)
     pruned = TokenSequence(keep, seq.d, seq.data[kept], seq.positions[kept], seq.orig_len)

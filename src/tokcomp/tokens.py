@@ -13,9 +13,9 @@ Three value types:
 Containers are immutable after construction (arrays are copied in and marked
 read-only), and the token containers hold finite values only; every
 operation here is a pure function returning a new value.  The private
-``_adopt`` constructors of ``TokenGrid`` and ``ComplexSequence`` wrap arrays
-that no one else holds (a merge pass's output, a fresh np.fft result):
-they freeze them in place without the copy and the checks.
+``_adopt(cls, data, *rest)`` builds a ``TokenGrid`` or ``ComplexSequence``
+over arrays that no one else holds (a merge pass's output, a fresh np.fft
+result): it freezes them in place without the copy and the checks.
 
 Serialization: the LUVC1 binary grid format, written and read, and a JSON
 alternative for tiny fixtures, read only.  Every input is read through
@@ -50,6 +50,19 @@ def strict_index(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not an integer")
     return index(value)
+
+
+def _adopt(cls, data: np.ndarray, *rest: np.ndarray):
+    """A `cls` container over arrays no one else holds, made from valid ones:
+    its dims come from data.shape and its arrays follow in field order, all
+    frozen in place, neither copied nor re-checked."""
+    obj = object.__new__(cls)
+    arrays = (data, *rest)
+    for name, value in zip(cls.__dataclass_fields__, (*data.shape, *arrays)):
+        object.__setattr__(obj, name, value)
+    for a in arrays:
+        a.flags.writeable = False
+    return obj
 
 
 def _frozen(a: np.ndarray, source) -> np.ndarray:
@@ -106,19 +119,8 @@ class TokenGrid:
     def n_tokens(self) -> int:
         return self.h * self.w
 
-    @classmethod
-    def _adopt(cls, data: np.ndarray, sizes: np.ndarray) -> "TokenGrid":
-        """Wrap arrays no one else holds, made from a valid grid: frozen in
-        place, neither copied nor re-checked."""
-        grid = object.__new__(cls)
-        h, w, d = data.shape
-        for name, value in (("h", h), ("w", w), ("d", d), ("data", data), ("sizes", sizes)):
-            object.__setattr__(grid, name, value)
-        data.flags.writeable = sizes.flags.writeable = False
-        return grid
-
     def transpose(self) -> "TokenGrid":
-        return TokenGrid._adopt(self.data.transpose(1, 0, 2), self.sizes.T)
+        return _adopt(TokenGrid, self.data.transpose(1, 0, 2), self.sizes.T)
 
 
 @dataclass(frozen=True)
@@ -184,17 +186,6 @@ class ComplexSequence:
         except ValueError as e:
             raise ShapeError(f"complex data does not fit n={self.n} d={self.d}: {e}") from e
         object.__setattr__(self, "data", _frozen(data, self.data))
-
-    @classmethod
-    def _adopt(cls, data: np.ndarray) -> "ComplexSequence":
-        """Wrap an (n, d) complex128 array no one else holds, such as a fresh
-        np.fft result: frozen in place, neither copied nor re-checked."""
-        seq = object.__new__(cls)
-        n, d = data.shape
-        for name, value in (("n", n), ("d", d), ("data", data)):
-            object.__setattr__(seq, name, value)
-        data.flags.writeable = False
-        return seq
 
 
 def grid_from_sequence(seq: TokenSequence, h: int, w: int) -> TokenGrid:

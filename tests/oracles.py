@@ -124,6 +124,16 @@ def brute_grid_merge_width(data: np.ndarray, sizes: np.ndarray, m: int):
     return np.stack(rows_f), np.stack(rows_s)
 
 
+def naive_zigzag(p: int) -> list[int]:
+    """Flat indices of a p x p block, one anti-diagonal i + j = s at a time:
+    even s walked from the bottom row up, odd s from the top row down."""
+    order = []
+    for s in range(2 * p - 1):
+        cells = [(i, s - i) for i in range(p) if 0 <= s - i < p]
+        order += [i * p + j for i, j in (cells[::-1] if s % 2 == 0 else cells)]
+    return order
+
+
 def naive_dct2(block: np.ndarray) -> np.ndarray:
     """Orthonormal type-II 2D DCT by quadruple loop."""
     p = block.shape[0]

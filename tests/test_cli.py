@@ -76,6 +76,17 @@ def test_spectrum_accepts_json_grid(tmp_path, capsys):
     assert len(json.loads(capsys.readouterr().out)["kept"]) == 2
 
 
+def test_spectrum_refuses_non_finite_energies(tmp_path, capsys):
+    # the spectrum of ±1e308 overflows, so its energies would print as NaN
+    path = tmp_path / "grid.json"
+    write_grid_json(TokenGrid.from_data(np.array([1e308, -1e308] * 2).reshape(2, 2, 1)), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["spectrum", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "token energies hold non-finite values" in err
+
+
 def test_spectrum_accepts_image(tmp_path, capsys):
     img = np.random.default_rng(2).integers(0, 256, size=(16, 16)).astype(np.uint8)
     path = tmp_path / "img.pgm"
@@ -163,6 +174,16 @@ def test_merge_writes_grid(grid_file, tmp_path, capsys):
     assert doc["tokens_after"] == 9
     assert doc["retained_fraction"] + doc["removed_fraction"] == pytest.approx(1.0)
     assert grid.sizes.sum() == 16
+
+
+def test_merge_refuses_an_overflow(tmp_path, capsys):
+    # absorbing one 1.5e308 token into another overflows float64
+    path, out = tmp_path / "grid.json", tmp_path / "merged.luvc"
+    write_grid_json(TokenGrid.from_data(np.full((4, 4, 2), 1.5e308)), path)
+    with np.errstate(over="ignore"):
+        assert run(["merge", path, "--m", 1, "--out", out]) == 2
+    assert "merging 1 tokens per lane overflows float64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_no_compression(tmp_path, capsys):

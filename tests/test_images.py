@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_dct2
+from oracles import naive_dct2, naive_zigzag
 from tokcomp.errors import FormatError, ShapeError
 from tokcomp.images import (FEATURE_MODES, emit_energy_heatmap, featurize_image,
                             normalize_heat, parse_image, read_image, write_pgm,
@@ -146,7 +146,10 @@ def test_color_dct_keeps_channels_separate():
 def test_zigzag_is_a_permutation_starting_at_dc():
     zz = zigzag_indices(4)
     assert sorted(zz.tolist()) == list(range(16))
-    assert zz[:4].tolist() == [0, 1, 4, 8]  # (0,0) (0,1) (1,0) (2,0)
+    # (0,0) (0,1) (1,0) (2,0) (1,1) (0,2) (0,3) ... (3,3): the JPEG walk
+    assert zz.tolist() == [0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15]
+    for p in range(1, 40):
+        assert zigzag_indices(p).tolist() == naive_zigzag(p), p
 
 
 def test_feature_modes_constant():

@@ -167,6 +167,17 @@ def test_merge_rejects_small_grids():
         merge_step(rand_grid(0xB, 3, 8, 1), 2)
 
 
+def test_merge_refuses_an_overflow():
+    # an absorb sums two size-weighted tokens or two sizes, each finite
+    huge_tokens = TokenGrid.from_data(np.full((4, 4, 2), 1.5e308))
+    huge_sizes = TokenGrid(4, 4, 2, np.ones((4, 4, 2)), np.full((4, 4), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for grid in (huge_tokens, huge_sizes):
+            for merge in (merge_width, merge_height, merge_step):
+                with pytest.raises(ShapeError, match="merging 1 tokens per lane overflows"):
+                    merge(grid, 1)
+
+
 def test_merge_step_shapes_and_conservation():
     g = rand_grid(3, 4, 4, 1)
     out = merge_step(g, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def test_schedule_refusals(kwargs, message):
 
 def test_spu_layer_arithmetic():
     sched = CompressionSchedule(llm_layers=12, l0=6, l_delta=3)
-    assert sched.spu_layers == (6, 9)
-    assert CompressionSchedule(llm_layers=12, l0=12).spu_layers == ()
+    assert tuple(sched.spu_layers) == (6, 9)
+    assert tuple(CompressionSchedule(llm_layers=12, l0=12).spu_layers) == ()
 
 
 def test_default_ladder_is_linear_and_strict():
@@ -325,16 +326,18 @@ def test_schedule_that_cannot_fit_the_grid_is_refused_before_any_layer(
     assert calls == []
 
 
+class Built(Exception):
+    """Raised by a patched builder that a refused run must never reach."""
+
+
+def raising(*args, **kwargs):
+    raise Built
+
+
 @pytest.mark.parametrize("d,refused", [(2048, False), (2052, True)])
 def test_block_weights_past_the_budget_are_refused_before_any_layer(monkeypatch, d, refused):
     # 8d²·8 bytes of weights per block: 2^28 at d = 2048, about 270 MB at 2052
-    class Built(Exception):
-        pass
-
-    def building(*args):
-        raise Built
-
-    monkeypatch.setattr(pipeline, "layer_weights", building)
+    monkeypatch.setattr(pipeline, "layer_weights", raising)
     grid, cfg = rand_grid(1, 2, 2, d), ToyModelConfig(d=d, heads=4, text_len=1)
     sched = CompressionSchedule(enc_layers=1, llm_layers=1)
     if refused:
@@ -343,6 +346,38 @@ def test_block_weights_past_the_budget_are_refused_before_any_layer(monkeypatch,
     else:
         with pytest.raises(Built):
             run_experiment(grid, None, cfg, sched)
+
+
+@pytest.mark.parametrize("text_len,factor,message", [
+    (10**12, 1, f"a text of {10**12} tokens at d=8 generates {64 * 10**12} bytes"),
+    (1, 2**10, f"a connector of factor {2**10} at d=8 generates {2**29} bytes"),
+])
+def test_connector_and_text_past_the_budget_are_refused_before_they_are_built(
+        monkeypatch, text_len, factor, message):
+    # 8·text_len·d bytes of text tokens, 8f²d² bytes of connector
+    monkeypatch.setattr(pipeline, "connector_matrix", raising)
+    monkeypatch.setattr(pipeline, "make_text_sequence", raising)
+    grid = TokenGrid(0, 0, 8, np.zeros((0, 0, 8)), np.zeros((0, 0)))
+    sched = CompressionSchedule(enc_layers=1, llm_layers=0, projector_factor=factor)
+    with pytest.raises(ScheduleError, match=message):
+        run_experiment(grid, text_len, ToyModelConfig(d=8, heads=2), sched)
+
+
+def test_visual_free_run_builds_no_per_layer_ladder(monkeypatch):
+    # no visual tokens, so nothing is pruned: the 3·10⁶ pruning layers are
+    # never listed, and the run reaches its first layer in bounded memory
+    monkeypatch.setattr(pipeline, "block_forward", raising)
+    grid = TokenGrid(0, 0, 8, np.zeros((0, 0, 8)), np.zeros((0, 0)))
+    sched = CompressionSchedule(enc_layers=0, llm_layers=3_000_000, l0=0, l_delta=1)
+    assert sched.resolved_ladder(0) == ()
+    tracemalloc.start()
+    try:
+        with pytest.raises(Built):
+            run_experiment(grid, None, ToyModelConfig(d=8, heads=2, text_len=4), sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_report_matches_independent_recomputation():

@@ -227,6 +227,12 @@ def test_topk_selection_order():
     assert topk_ascending(np.array([3.0, 1.0, 4.0, 2.0]), 2).tolist() == [0, 2]
 
 
+def test_ranking_refuses_non_finite_energies():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeError, match="token energies hold non-finite values"):
+            EnergyRanking(np.array([1.0, bad]), np.array([0]))
+
+
 def test_ranking_does_not_alias_its_inputs():
     energies, kept = np.array([0.5, 0.25, 0.125]), np.array([0, 2])
     ranking = EnergyRanking(energies, kept)

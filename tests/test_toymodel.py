@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import naive_attention
 from tokcomp import pipeline, toymodel
 from tokcomp.errors import ShapeError
 from tokcomp.merging import size_boost
@@ -79,36 +80,14 @@ def test_sinusoidal_positions_shape_and_range():
     assert pe_odd.shape == (4, 7)
 
 
-def naive_multihead(x, lw, heads, sizes=None):
-    n, d = x.shape
-    dh = d // heads
-    q, k, v = x @ lw.wq, x @ lw.wk, x @ lw.wv
-    if sizes is not None:
-        v = v + np.log(sizes)[:, None]
-    out = np.zeros((n, d))
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                scores[i, j] = float(q[i, sl] @ k[j, sl]) / math.sqrt(dh)
-        for i in range(n):
-            row = np.exp(scores[i] - scores[i].max())
-            attn_row = row / row.sum()
-            for c in range(dh):
-                out[i, sl][c] = sum(attn_row[j] * v[j, sl][c] for j in range(n))
-    return out @ lw.wo
-
-
 def test_attention_matches_naive_multihead():
     cfg = ToyModelConfig(d=8, heads=2, seed=1)
     lw = layer_weights(cfg, STAGE_ENCODER, 0)
     x = np.random.default_rng(2).normal(size=(6, 8))
-    got = attention(x, lw, 2)
-    assert np.abs(got - naive_multihead(x, lw, 2)).max() < 1e-12
-    sizes = np.array([1.0, 2, 1, 4, 1, 3])
-    got_sized = attention(x, lw, 2, sizes=sizes)
-    assert np.abs(got_sized - naive_multihead(x, lw, 2, sizes)).max() < 1e-12
+    for sizes in (None, np.array([1.0, 2, 1, 4, 1, 3])):
+        oracle_sizes = np.ones(6) if sizes is None else sizes
+        want = naive_attention(x, lw.wq, lw.wk, lw.wv, lw.wo, 2, oracle_sizes)
+        assert np.abs(attention(x, lw, 2, sizes=sizes) - want).max() < 1e-12
 
 
 def test_unit_sizes_take_the_plain_path():
